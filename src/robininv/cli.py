@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -84,6 +85,17 @@ class ExperimentConfig:
     _STR = {"gamma_true", "gamma_init", "fluxes", "flux", "arcs", "out"}
 
 
+def parse_number(text: str, kind, what: str):
+    """int(text) or a finite float(text); anything else is a ParameterError."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ParameterError(f"{what}: '{text}' is not a valid {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise ParameterError(f"{what}: '{text}' is not finite")
+    return value
+
+
 def parse_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     known = {f.name for f in fields(cfg) if not f.name.startswith("_")}
@@ -99,12 +111,13 @@ def parse_config(path: str) -> ExperimentConfig:
                 key = "reg_lambda"
             if key not in known:
                 raise ParameterError(f"{path}:{lineno}: unknown config key '{key}'")
-            if key in ExperimentConfig._INT:
-                setattr(cfg, key, int(value))
-            elif key in ExperimentConfig._STR:
+            if key in ExperimentConfig._STR:
                 setattr(cfg, key, value)
             else:
-                setattr(cfg, key, float(value))
+                kind = int if key in ExperimentConfig._INT else float
+                setattr(cfg, key, parse_number(value, kind, f"{path}:{lineno}: {key}"))
+    if cfg.eps < 0:
+        raise ParameterError(f"{path}: eps must be >= 0")
     return cfg
 
 
@@ -125,17 +138,17 @@ def gamma_selector(name: str, theta: np.ndarray) -> np.ndarray:
     if name == "expinit":
         return np.exp(-0.2 * np.cos(theta))
     if name.startswith("constant:"):
-        return np.full_like(theta, float(name.split(":", 1)[1]))
+        return np.full_like(theta, parse_number(name.split(":", 1)[1], float, name))
     raise ParameterError(f"unknown gamma selector '{name}'")
 
 
 def flux_selector(name: str, theta: np.ndarray) -> np.ndarray:
     if name.startswith("constant:"):
-        return np.full_like(theta, float(name.split(":", 1)[1]))
+        return np.full_like(theta, parse_number(name.split(":", 1)[1], float, name))
     if name.startswith("cos:"):
-        return np.cos(int(name.split(":", 1)[1]) * theta)
+        return np.cos(parse_number(name.split(":", 1)[1], int, name) * theta)
     if name.startswith("sin:"):
-        return np.sin(int(name.split(":", 1)[1]) * theta)
+        return np.sin(parse_number(name.split(":", 1)[1], int, name) * theta)
     raise ParameterError(f"unknown flux selector '{name}'")
 
 
@@ -263,7 +276,7 @@ def cmd_monotonicity(cfg, out):
 def cmd_locpot(cfg, out):
     mesh, sigma = _mesh_sigma(cfg)
     partition = interface_partition(mesh, cfg.partition_m)
-    arcs = [int(tok) for tok in cfg.arcs.split(",") if tok.strip() != ""]
+    arcs = [parse_number(tok, int, "arcs") for tok in cfg.arcs.split(",") if tok.strip() != ""]
     gamma = gamma_selector(cfg.gamma_true, mesh.interface_theta)
     system = assemble_system(mesh, sigma, gamma)
     result = localized_potential(
@@ -430,7 +443,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, our EXIT_NUMERICAL
+        return EXIT_OK if exc.code == 0 else EXIT_PARAMETER
 
     try:
         # caps the worker count; every driver currently runs sequentially

@@ -8,7 +8,7 @@ interface (source used by the Runge/localized-potential machinery).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,8 +22,6 @@ from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec, triangle_areas
 GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 GAUSS_W = np.array([0.5, 0.5])
 
-CG_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Conductivity:
@@ -33,7 +31,7 @@ class Conductivity:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma1 <= 0 or self.sigma2 <= 0:
+        if not (self.sigma1 > 0 and self.sigma2 > 0):  # also rejects NaN
             raise ParameterError("conductivities must be positive")
 
 
@@ -89,7 +87,11 @@ def curve_mass_matrix(mesh: Mesh, edges: np.ndarray, n: int) -> sp.csr_matrix:
 
 @dataclass
 class SparseSystem:
-    """Assembled Galerkin system K(sigma, gamma) plus curve mass matrices."""
+    """Assembled Galerkin system K(sigma, gamma) plus curve mass matrices.
+
+    The sparse LU factor of K is built by the first solve and reused by every
+    later one; a system that is never solved is never factored.
+    """
 
     mesh: Mesh
     sigma: Conductivity
@@ -97,7 +99,7 @@ class SparseSystem:
     K: sp.csr_matrix
     interface_mass: sp.csr_matrix
     boundary_mass: sp.csr_matrix
-    _precond_diag: np.ndarray
+    _lu: spla.SuperLU | None = field(default=None, repr=False)
 
     def gamma_nodal(self) -> np.ndarray:
         """Nodal values on interface nodes (arcwise gamma: lower-index arc wins)."""
@@ -151,58 +153,84 @@ def interface_form_matrix(mesh: Mesh, gamma) -> sp.csr_matrix:
     return C
 
 
+def gamma_free_part(mesh: Mesh, sigma: Conductivity):
+    """(stiffness, interface mass, boundary mass): none depends on gamma.
+
+    Built once per (mesh, sigma) and kept in ``mesh.cache``, so it lives and
+    dies with the mesh. Callers must not modify the returned matrices.
+    """
+    part = mesh.cache.get(sigma)
+    if part is None:
+        part = mesh.cache[sigma] = (
+            stiffness_matrix(mesh, sigma),
+            curve_mass_matrix(mesh, mesh.interface_edges, mesh.n_interface_nodes),
+            curve_mass_matrix(mesh, mesh.boundary_edges, mesh.n_boundary_nodes),
+        )
+    return part
+
+
 def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
-    """Assemble K = stiffness + interface Robin term and cache curve masses."""
-    if _gamma_min(mesh, gamma) <= 0.0:
+    """Assemble K = stiffness + interface Robin term; only the latter depends on gamma."""
+    if not _gamma_min(mesh, gamma) > 0.0:  # also rejects NaN
         raise CoercivityError("gamma must be bounded below by a positive constant")
-    K = stiffness_matrix(mesh, sigma) + interface_form_matrix(mesh, gamma)
+    stiffness, interface_mass, boundary_mass = gamma_free_part(mesh, sigma)
     return SparseSystem(
         mesh=mesh,
         sigma=sigma,
         gamma=gamma,
-        K=K,
-        interface_mass=curve_mass_matrix(mesh, mesh.interface_edges, mesh.n_interface_nodes),
-        boundary_mass=curve_mass_matrix(mesh, mesh.boundary_edges, mesh.n_boundary_nodes),
-        _precond_diag=1.0 / K.diagonal(),
+        K=stiffness + interface_form_matrix(mesh, gamma),
+        interface_mass=interface_mass,
+        boundary_mass=boundary_mass,
     )
 
 
 def _solve(system: SparseSystem, b: np.ndarray) -> np.ndarray:
+    """Solve K x = b for one load (n,) or a batch of loads (n, k) with the cached LU."""
     if len(b) != system.mesh.n_nodes:
         raise ParameterError("load vector length does not match mesh")
-    if not np.any(b):
-        return np.zeros_like(b)
-    n = len(b)
-    M = spla.LinearOperator((n, n), matvec=lambda x: system._precond_diag * x)
-    x, info = spla.cg(system.K, b, rtol=CG_RTOL, atol=0.0, maxiter=20 * n, M=M)
-    if info != 0:
-        res = np.linalg.norm(system.K @ x - b) / np.linalg.norm(b)
-        raise NumericalError(f"PCG did not converge (info={info}, rel residual={res:.3e})")
+    if system._lu is None:
+        # K is symmetric positive definite: a symmetric ordering and no
+        # pivoting keep the fill about half that of the general defaults
+        try:
+            system._lu = spla.splu(
+                system.K.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
+            raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
+    x = system._lu.solve(b)
+    if not np.isfinite(x).all():
+        raise NumericalError("linear solve produced non-finite values")
     return x
 
 
 def scatter_boundary(system: SparseSystem, g: np.ndarray) -> np.ndarray:
-    """Load vector of int_{dOmega} g w ds for piecewise-linear g."""
+    """Load vector(s) of int_{dOmega} g w ds for piecewise-linear g of shape (n,) or (n, k)."""
     g = np.asarray(g, dtype=float)
     if len(g) != system.mesh.n_boundary_nodes:
         raise ParameterError("boundary function length mismatch")
-    b = np.zeros(system.mesh.n_nodes)
+    b = np.zeros((system.mesh.n_nodes,) + g.shape[1:])
     b[system.mesh.boundary_nodes] = system.boundary_mass @ g
     return b
 
 
 def scatter_interface(system: SparseSystem, f: np.ndarray) -> np.ndarray:
-    """Load vector of int_Gamma f w ds for piecewise-linear f."""
+    """Load vector(s) of int_Gamma f w ds for piecewise-linear f of shape (n,) or (n, k)."""
     f = np.asarray(f, dtype=float)
     if len(f) != system.mesh.n_interface_nodes:
         raise ParameterError("interface function length mismatch")
-    b = np.zeros(system.mesh.n_nodes)
+    b = np.zeros((system.mesh.n_nodes,) + f.shape[1:])
     b[system.mesh.interface_nodes] = system.interface_mass @ f
     return b
 
 
 def solve_forward(system: SparseSystem, g: np.ndarray) -> np.ndarray:
-    """State solve: a(u, w) = int_{dOmega} g w ds for all test functions."""
+    """State solve: a(u, w) = int_{dOmega} g w ds for all test functions.
+
+    Like the other solves, takes one function (n,) or k of them as columns (n, k).
+    """
     return _solve(system, scatter_boundary(system, g))
 
 

@@ -30,6 +30,8 @@ class Mesh:
     interface_edges / boundary_edges: (E, 2) index pairs; edge e connects ring
         position e to position (e + 1) % E.
     h: maximum edge length.
+    cache: matrices derived from the mesh alone, filled by ``fem`` on first
+        use; it lives and dies with the mesh.
     """
 
     nodes: np.ndarray
@@ -42,6 +44,7 @@ class Mesh:
     boundary_edges: np.ndarray
     h: float
     params: tuple = field(default=())
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:

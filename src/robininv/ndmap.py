@@ -39,7 +39,9 @@ class NdForm:
 
 
 def apply_nd(system: SparseSystem, g) -> np.ndarray:
-    """Boundary voltage produced by the current g: trace of the forward solve."""
+    """Boundary voltage produced by the current g: trace of the forward solve.
+
+    g may hold k currents as columns, shape (n_boundary_nodes, k)."""
     return trace_boundary(system.mesh, solve_forward(system, g))
 
 
@@ -68,13 +70,13 @@ def orthonormal_boundary_basis(system: SparseSystem, n_modes: int) -> np.ndarray
 
 
 def nd_form_matrix(system: SparseSystem, n_modes: int) -> NdForm:
-    """One forward solve per basis function; entries via the boundary inner product."""
+    """One batched forward solve of all basis functions; entries via the boundary
+    inner product."""
     if n_modes < 1:
         raise ParameterError("n_modes must be >= 1")
     B = orthonormal_boundary_basis(system, n_modes)
     M = system.boundary_mass
-    traces = np.stack([apply_nd(system, B[:, j]) for j in range(B.shape[1])], axis=1)
-    return NdForm(n_modes=n_modes, basis=B, matrix=B.T @ (M @ traces))
+    return NdForm(n_modes=n_modes, basis=B, matrix=B.T @ (M @ apply_nd(system, B)))
 
 
 def operator_norm_diff(F1: NdForm, F2: NdForm) -> float:

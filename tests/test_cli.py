@@ -160,3 +160,42 @@ def test_example1_determinism(tmp_path):
     assert csvs  # one history and coefficient file per (eps, init)
     for name in csvs:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_usage_error_exit_code(tmp_path):
+    assert cli.main(["bogus", "--config", str(tmp_path / "x")]) == cli.EXIT_PARAMETER
+    assert cli.main(["mesh"]) == cli.EXIT_PARAMETER  # --config missing
+
+
+@pytest.mark.parametrize("line", ["n_theta = abc", "seed = 1.5", "sigma1 = two"])
+def test_non_numeric_config_values_exit_1(tmp_path, line):
+    cfg = write_config(tmp_path, COARSE + line + "\n")
+    with pytest.raises(ri.ParameterError, match=line.split()[0]):
+        cli.parse_config(cfg)
+    assert cli.main(["mesh", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("line", ["gamma_true = constant:x", "flux = cos:x"])
+def test_non_numeric_selectors_exit_1(tmp_path, line):
+    cfg = write_config(tmp_path, COARSE + line + "\n")
+    assert cli.main(["forward", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+def test_selectors_reject_non_numeric_and_non_finite():
+    theta = np.linspace(0, 2 * np.pi, 8)
+    for name in ("constant:x", "constant:nan", "constant:inf"):
+        with pytest.raises(ri.ParameterError):
+            cli.gamma_selector(name, theta)
+        with pytest.raises(ri.ParameterError):
+            cli.flux_selector(name, theta)
+    for name in ("cos:x", "sin:1.5"):
+        with pytest.raises(ri.ParameterError):
+            cli.flux_selector(name, theta)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01"])
+def test_bad_eps_rejected(tmp_path, value):
+    cfg = write_config(tmp_path, COARSE + f"eps = {value}\n")
+    with pytest.raises(ri.ParameterError, match="eps"):
+        cli.parse_config(cfg)
+    assert cli.main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import robininv as ri
+from robininv import cli, fem
 from robininv.fem import curve_mass_matrix, interface_form_matrix, stiffness_matrix
 
 
@@ -35,6 +36,16 @@ def test_nonpositive_gamma_rejected(mesh_coarse, sigma):
     gamma[3] = 0.0
     with pytest.raises(ri.CoercivityError):
         ri.assemble_system(mesh_coarse, sigma, gamma)
+
+
+def test_nan_coefficients_rejected(mesh_coarse, sigma):
+    gamma = np.ones(mesh_coarse.n_interface_nodes)
+    gamma[3] = np.nan
+    with pytest.raises(ri.CoercivityError):
+        ri.assemble_system(mesh_coarse, sigma, gamma)
+    for sigma1, sigma2 in ((0.0, 1.0), (1.0, -2.0), (np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ri.ParameterError):
+            ri.Conductivity(sigma1, sigma2)
 
 
 def test_zero_load_gives_zero_solution(system_coarse):
@@ -181,3 +192,99 @@ def test_curve_mass_matrix_row_sums(mesh_coarse):
     M = curve_mass_matrix(mesh_coarse, mesh_coarse.boundary_edges, mesh_coarse.n_boundary_nodes)
     perimeter = M.sum()
     assert perimeter == pytest.approx(32 * 2 * np.sin(np.pi / 32), abs=1e-12)
+
+
+def _spy_on_factorization(monkeypatch):
+    """Count the sparse LU factorizations done through robininv.fem."""
+    calls = []
+    real = fem.spla.splu
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fem.spla, "splu", spy)
+    return calls
+
+
+def test_many_solves_factor_once(sigma, monkeypatch):
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 2.0))
+    calls = _spy_on_factorization(monkeypatch)
+    for k in range(1, 4):
+        ri.solve_forward(system, np.cos(k * mesh.boundary_theta))
+    ri.solve_adjoint(system, np.sin(mesh.boundary_theta))
+    ri.solve_interface_source(system, np.cos(mesh.interface_theta))
+    ri.nd_form_matrix(system, 4)
+    assert calls == [(mesh.n_nodes, mesh.n_nodes)]
+
+
+def test_unsolved_system_never_factored(sigma, monkeypatch):
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    calls = _spy_on_factorization(monkeypatch)
+    system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 2.0))
+    ones = np.ones(mesh.n_boundary_nodes)
+    assert ri.boundary_l2(system, ones, ones) > 0
+    assert ri.interface_norm(system, np.ones(mesh.n_interface_nodes)) > 0
+    assert calls == []
+    # the reference system of lipschitz_constant is only read for its boundary
+    # mass: one factorization per (k, m) system and none for the reference
+    part = ri.interface_partition(mesh, 2)
+    report = ri.lipschitz_constant(mesh, sigma, 1.0, 1.2, part)
+    assert len(calls) == len(report.entries) == 2
+
+
+def test_batched_solve_matches_single_solves(system_coarse):
+    mesh = system_coarse.mesh
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((mesh.n_boundary_nodes, 5))
+    F = rng.standard_normal((mesh.n_interface_nodes, 3))
+    for solve, loads in ((ri.solve_forward, G), (ri.solve_adjoint, G),
+                         (ri.solve_interface_source, F)):
+        batched = solve(system_coarse, loads)
+        assert batched.shape == (mesh.n_nodes, loads.shape[1])
+        single = np.column_stack([solve(system_coarse, col) for col in loads.T])
+        assert np.abs(batched - single).max() <= 1e-14 * np.abs(single).max()
+
+
+def test_nan_matrix_raises_numerical_error(sigma):
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 2.0))
+    system.K.data[0] = np.nan
+    with pytest.raises(ri.NumericalError):
+        ri.solve_forward(system, np.cos(mesh.boundary_theta))
+
+
+def test_non_finite_solution_raises_numerical_error(system_coarse):
+    g = np.cos(system_coarse.mesh.boundary_theta)
+    g[0] = np.inf
+    with pytest.raises(ri.NumericalError):
+        ri.solve_forward(system_coarse, g)
+
+
+def test_cli_maps_numerical_error_to_exit_2(tmp_path, monkeypatch):
+    def poisoned(mesh, sigma, gamma):
+        system = ri.assemble_system(mesh, sigma, gamma)
+        system.K.data[:] = np.nan
+        return system
+
+    monkeypatch.setattr(cli, "assemble_system", poisoned)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n_r_inner = 2\nn_r_outer = 2\nn_theta = 32\n")
+    assert cli.main(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cached_gamma_free_part_matches_fresh_assembly(sigma):
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    theta = mesh.interface_theta
+    ri.assemble_system(mesh, sigma, np.ones(mesh.n_interface_nodes))  # fills the cache
+    for gamma in (1.0 + 0.5 * np.cos(theta), np.exp(np.sin(2 * theta))):
+        K = ri.assemble_system(mesh, sigma, gamma).K
+        fresh = stiffness_matrix(mesh, sigma) + interface_form_matrix(mesh, gamma)
+        assert abs(K - fresh).max() <= 1e-15 * abs(fresh).max()
+    assert list(mesh.cache) == [sigma]
+    other = ri.Conductivity(1.0, 3.0)
+    K = ri.assemble_system(mesh, other, np.ones(mesh.n_interface_nodes)).K
+    fresh = stiffness_matrix(mesh, other) + interface_form_matrix(mesh, np.ones(len(theta)))
+    assert abs(K - fresh).max() <= 1e-15 * abs(fresh).max()
+    assert len(mesh.cache) == 2
