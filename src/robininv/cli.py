@@ -30,7 +30,6 @@ from . import (
     bfgs_minimize,
     boundary_l2,
     generate_disk_mesh,
-    interface_l2,
     interface_partition,
     lipschitz_constant,
     localized_potential,
@@ -43,6 +42,7 @@ from . import (
     trace_interface,
     verify_stability,
 )
+from .fem import gamma_free_part
 
 EXIT_OK = 0
 EXIT_PARAMETER = 1
@@ -341,27 +341,27 @@ def cmd_lipschitz(cfg, out):
     return EXIT_OK
 
 
-def _run_reconstruction(cfg, mesh, sigma, eps, init_name, seed):
-    theta_g = mesh.interface_theta
-    theta_b = mesh.boundary_theta
-    gamma_true = gamma_selector(cfg.gamma_true, theta_g)
-    data = synthesize_data(mesh, sigma, gamma_true, flux_set(cfg.fluxes, theta_b))
-    if eps > 0:
-        data = add_noise(data, eps, seed)
+def _true_data(cfg, mesh, sigma):
+    """The true coefficient and its noise-free data for the configured fluxes."""
+    gamma_true = gamma_selector(cfg.gamma_true, mesh.interface_theta)
+    return gamma_true, synthesize_data(
+        mesh, sigma, gamma_true, flux_set(cfg.fluxes, mesh.boundary_theta)
+    )
+
+
+def _run_reconstruction(cfg, mesh, sigma, gamma_true, clean, eps, init_name, seed):
+    data = add_noise(clean, eps, seed) if eps > 0 else clean
     opts = BfgsOptions(
         gtol=cfg.gtol if cfg.gtol > 0 else None,
         max_iter=cfg.max_iter,
         c0=cfg.c0,
         c1=cfg.c1,
     )
-    gamma_init = gamma_selector(init_name, theta_g)
+    gamma_init = gamma_selector(init_name, mesh.interface_theta)
     state = bfgs_minimize(mesh, sigma, data, cfg.reg_lambda, gamma_init, opts)
-    system = assemble_system(mesh, sigma, gamma_true)
+    mass = gamma_free_part(mesh, sigma).interface_mass
     diff = state.gamma - gamma_true
-    rel_err = np.sqrt(
-        interface_l2(system, diff, diff) / interface_l2(system, gamma_true, gamma_true)
-    )
-    return state, gamma_true, rel_err
+    return state, np.sqrt((diff @ (mass @ diff)) / (gamma_true @ (mass @ gamma_true)))
 
 
 def _emit_reconstruction(cfg, out, tag, mesh, state, gamma_true, rel_err):
@@ -392,8 +392,9 @@ def _emit_reconstruction(cfg, out, tag, mesh, state, gamma_true, rel_err):
 
 def cmd_reconstruct(cfg, out):
     mesh, sigma = _mesh_sigma(cfg)
-    state, gamma_true, rel_err = _run_reconstruction(
-        cfg, mesh, sigma, cfg.eps, cfg.gamma_init, cfg.seed
+    gamma_true, clean = _true_data(cfg, mesh, sigma)
+    state, rel_err = _run_reconstruction(
+        cfg, mesh, sigma, gamma_true, clean, cfg.eps, cfg.gamma_init, cfg.seed
     )
     summary = _emit_reconstruction(cfg, out, "run", mesh, state, gamma_true, rel_err)
     write_text(os.path.join(out, "summary.txt"), summary)
@@ -406,11 +407,14 @@ def _cmd_example(cfg, out, which: str):
     cfg.fluxes = which
     inits = ["expinit", "constant:1"] if which == "example1" else ["constant:1"]
     levels = NOISE_LEVELS if which == "example1" else (0.0, 0.05)
+    gamma_true, clean = _true_data(cfg, mesh, sigma)
     summary = []
     for eps in levels:
         for init in inits:
             tag = f"eps{eps:g}_init_{init.replace(':', '')}"
-            state, gamma_true, rel_err = _run_reconstruction(cfg, mesh, sigma, eps, init, cfg.seed)
+            state, rel_err = _run_reconstruction(
+                cfg, mesh, sigma, gamma_true, clean, eps, init, cfg.seed
+            )
             summary.append(_emit_reconstruction(cfg, out, tag, mesh, state, gamma_true, rel_err))
     write_text(os.path.join(out, "summary.txt"), "".join(summary))
     return EXIT_OK
@@ -449,11 +453,6 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_PARAMETER
 
     try:
-        # caps the worker count; every driver currently runs sequentially
-        # (one worker), which satisfies any positive cap
-        threads = os.environ.get("ROBININV_THREADS")
-        if threads is not None and (not threads.isdigit() or int(threads) < 1):
-            raise ParameterError("ROBININV_THREADS must be a positive integer")
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed

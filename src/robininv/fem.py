@@ -14,13 +14,24 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+# after scipy.sparse.linalg, which imports it too: imported first, it made the
+# package import about 5 % slower
+import scipy.linalg as la  # isort: skip
+
 from .errors import CoercivityError, NumericalError, ParameterError
-from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec, triangle_areas
+from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec, edge_lengths, triangle_areas
 
 # 2-point Gauss rule on [0, 1]; exact for cubics, hence exact for the
 # product of three piecewise-linear factors on an edge.
 GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 GAUSS_W = np.array([0.5, 0.5])
+# GAUSS_SHAPE[i, q] = N_i(xi_q) for the two hat functions of an edge, and
+# _SHAPE_PRODUCTS[q, 2 i + j] = N_i(xi_q) N_j(xi_q)
+GAUSS_SHAPE = np.stack([1.0 - GAUSS_XI, GAUSS_XI])
+_SHAPE_PRODUCTS = np.einsum("iq,jq->qij", GAUSS_SHAPE, GAUSS_SHAPE).reshape(2, 4)
+# ring columns per interior solve when forming S: a 32-column block of
+# K_II^-1 K_IR takes 98 KB on (4,4,64)
+_SCHUR_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ def _gamma_min(mesh: Mesh, gamma) -> float:
 
 def curve_mass_matrix(mesh: Mesh, edges: np.ndarray, n: int) -> sp.csr_matrix:
     """1D P1 mass matrix on a closed polygon of n nodes (ring-local indexing)."""
-    length = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+    length = edge_lengths(mesh, edges)
     i = np.arange(n)
     j = (i + 1) % n
     rows = np.concatenate([i, j, i, j])
@@ -85,21 +96,55 @@ def curve_mass_matrix(mesh: Mesh, edges: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
+@dataclass(frozen=True)
+class GammaFreePart:
+    """Everything about K(sigma, gamma) that does not depend on gamma, for one (mesh, sigma).
+
+    The nodes split into ring nodes R (the interface nodes, then the boundary
+    nodes, each in theta order) and interior nodes I. gamma only touches the
+    interface block of K_RR, so every gamma shares the Schur complement
+    S = K_RR - K_RI K_II^-1 K_IR of the stiffness, the factor of K_II that
+    recovers interior values, and K_IR.
+    """
+
+    interface_mass: sp.csr_matrix
+    boundary_mass: sp.csr_matrix
+    ring: np.ndarray
+    interior: np.ndarray
+    schur: np.ndarray  # dense (n_R, n_R)
+    interior_lu: spla.SuperLU
+    K_IR: sp.csr_matrix
+
+
 @dataclass
 class SparseSystem:
-    """Assembled Galerkin system K(sigma, gamma) plus curve mass matrices.
+    """Galerkin system K(sigma, gamma), condensed onto the ring nodes.
 
-    The sparse LU factor of K is built by the first solve and reused by every
-    later one; a system that is never solved is never factored.
+    A = S + C_Gamma(gamma) is the dense matrix of the ring unknowns. The first
+    solve overwrites it with its Cholesky factor, which every later solve
+    reuses; a system that is never solved is never factored.
     """
 
     mesh: Mesh
     sigma: Conductivity
     gamma: object  # nodal ndarray or ArcwiseGamma
-    K: sp.csr_matrix
-    interface_mass: sp.csr_matrix
-    boundary_mass: sp.csr_matrix
-    _lu: spla.SuperLU | None = field(default=None, repr=False)
+    A: np.ndarray
+    part: GammaFreePart = field(repr=False)
+    _cho: tuple | None = field(default=None, repr=False)
+
+    @property
+    def interface_mass(self) -> sp.csr_matrix:
+        return self.part.interface_mass
+
+    @property
+    def boundary_mass(self) -> sp.csr_matrix:
+        return self.part.boundary_mass
+
+    @property
+    def K(self) -> sp.csr_matrix:
+        """The full sparse Galerkin matrix, assembled on request; no solve uses it."""
+        stiffness = stiffness_matrix(self.mesh, self.sigma)
+        return stiffness + interface_form_matrix(self.mesh, self.gamma)
 
     def gamma_nodal(self) -> np.ndarray:
         """Nodal values on interface nodes (arcwise gamma: lower-index arc wins)."""
@@ -137,15 +182,16 @@ def stiffness_matrix(mesh: Mesh, sigma: Conductivity) -> sp.csr_matrix:
     return K
 
 
+def _robin_edge_matrices(mesh: Mesh, gamma) -> np.ndarray:
+    """ke[e, i, j] = int_{edge e} gamma N_i N_j ds by the 2-point Gauss rule: (E, 2, 2)."""
+    wq = _gamma_edge_values(mesh, gamma, GAUSS_XI) * GAUSS_W * mesh.interface_edge_lengths[:, None]
+    return (wq @ _SHAPE_PRODUCTS).reshape(-1, 2, 2)
+
+
 def interface_form_matrix(mesh: Mesh, gamma) -> sp.csr_matrix:
     """Matrix of int_Gamma gamma u w ds on global node indices (2-pt Gauss)."""
     edges = mesh.interface_edges
-    length = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
-    gq = _gamma_edge_values(mesh, gamma, GAUSS_XI)  # (E, 2)
-    shp = np.stack([1.0 - GAUSS_XI, GAUSS_XI], axis=0)  # (local node, q)
-    # ke[e, i, j] = L_e * sum_q w_q gamma_q N_i(q) N_j(q)
-    wq = gq * GAUSS_W[None, :] * length[:, None]
-    ke = np.einsum("eq,iq,jq->eij", wq, shp, shp)
+    ke = _robin_edge_matrices(mesh, gamma)
     rows = np.repeat(edges, 2, axis=1).ravel()
     cols = np.tile(edges, (1, 2)).ravel()
     C = sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
@@ -153,76 +199,112 @@ def interface_form_matrix(mesh: Mesh, gamma) -> sp.csr_matrix:
     return C
 
 
-def gamma_free_part(mesh: Mesh, sigma: Conductivity):
-    """(stiffness, interface mass, boundary mass): none depends on gamma.
+def _condense(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
+    """Eliminate the interior nodes from the stiffness of (mesh, sigma)."""
+    K = stiffness_matrix(mesh, sigma)
+    ring = np.concatenate([mesh.interface_nodes, mesh.boundary_nodes])
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), ring)
+    K_I = K[interior]
+    K_IR = K_I[:, ring].tocsc()
+    try:
+        # K_II is symmetric positive definite: a symmetric ordering and no
+        # pivoting keep the fill about half that of the general defaults
+        interior_lu = spla.splu(
+            K_I[:, interior].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
+    # S column block by column block, so no dense K_II^-1 K_IR is ever held
+    schur = K[ring][:, ring].toarray()
+    for lo in range(0, len(ring), _SCHUR_BLOCK):
+        cols = slice(lo, lo + _SCHUR_BLOCK)
+        schur[:, cols] -= K_IR.T @ interior_lu.solve(K_IR[:, cols].toarray())
+    return GammaFreePart(
+        interface_mass=curve_mass_matrix(mesh, mesh.interface_edges, mesh.n_interface_nodes),
+        boundary_mass=curve_mass_matrix(mesh, mesh.boundary_edges, mesh.n_boundary_nodes),
+        ring=ring,
+        interior=interior,
+        schur=schur,
+        interior_lu=interior_lu,
+        K_IR=K_IR.tocsr(),
+    )
+
+
+def gamma_free_part(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
+    """The condensed stiffness and the curve masses: none depends on gamma.
 
     Built once per (mesh, sigma) and kept in ``mesh.cache``, so it lives and
-    dies with the mesh. Callers must not modify the returned matrices.
+    dies with the mesh. Callers must not modify it.
     """
     part = mesh.cache.get(sigma)
     if part is None:
-        part = mesh.cache[sigma] = (
-            stiffness_matrix(mesh, sigma),
-            curve_mass_matrix(mesh, mesh.interface_edges, mesh.n_interface_nodes),
-            curve_mass_matrix(mesh, mesh.boundary_edges, mesh.n_boundary_nodes),
-        )
+        part = mesh.cache[sigma] = _condense(mesh, sigma)
     return part
 
 
 def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
-    """Assemble K = stiffness + interface Robin term; only the latter depends on gamma."""
+    """A = S + C_Gamma(gamma) on the ring nodes.
+
+    Only the cyclic-tridiagonal Robin term C_Gamma depends on gamma.
+    """
     if not _gamma_min(mesh, gamma) > 0.0:  # also rejects NaN
         raise CoercivityError("gamma must be bounded below by a positive constant")
-    stiffness, interface_mass, boundary_mass = gamma_free_part(mesh, sigma)
-    return SparseSystem(
-        mesh=mesh,
-        sigma=sigma,
-        gamma=gamma,
-        K=stiffness + interface_form_matrix(mesh, gamma),
-        interface_mass=interface_mass,
-        boundary_mass=boundary_mass,
-    )
+    part = gamma_free_part(mesh, sigma)
+    ke = _robin_edge_matrices(mesh, gamma)
+    # the interface nodes are the first ring positions; edge e joins e and e + 1
+    i = np.arange(mesh.n_interface_nodes)
+    j = np.roll(i, -1)
+    A = part.schur.copy()
+    A[i, i] += ke[:, 0, 0] + np.roll(ke[:, 1, 1], 1)
+    A[i, j] += ke[:, 0, 1]
+    A[j, i] += ke[:, 1, 0]
+    return SparseSystem(mesh=mesh, sigma=sigma, gamma=gamma, A=A, part=part)
 
 
 def _solve(system: SparseSystem, b: np.ndarray) -> np.ndarray:
-    """Solve K x = b for one load (n,) or a batch of loads (n, k) with the cached LU."""
-    if len(b) != system.mesh.n_nodes:
-        raise ParameterError("load vector length does not match mesh")
-    if system._lu is None:
-        # K is symmetric positive definite: a symmetric ordering and no
-        # pivoting keep the fill about half that of the general defaults
+    """Solve K x = b for a load on the ring nodes, (n_R,) or (n_R, k); return the full field.
+
+    The ring values come from the Cholesky factor of A, the interior values
+    from x_I = -K_II^-1 K_IR x_R, since no load reaches an interior node.
+    """
+    part = system.part
+    if system._cho is None:
         try:
-            system._lu = spla.splu(
-                system.K.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:
-            raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
-    x = system._lu.solve(b)
+            # A is symmetric, so A.T is the same matrix in Fortran order, which
+            # LAPACK factors in place instead of copying it
+            system._cho = la.cho_factor(system.A.T, overwrite_a=True, check_finite=False)
+        except la.LinAlgError as exc:
+            raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
+    x = np.empty((system.mesh.n_nodes,) + b.shape[1:])
+    x[part.ring] = x_ring = la.cho_solve(system._cho, b, check_finite=False)
+    x[part.interior] = -part.interior_lu.solve(part.K_IR @ x_ring)
     if not np.isfinite(x).all():
         raise NumericalError("linear solve produced non-finite values")
     return x
 
 
 def scatter_boundary(system: SparseSystem, g: np.ndarray) -> np.ndarray:
-    """Load vector(s) of int_{dOmega} g w ds for piecewise-linear g of shape (n,) or (n, k)."""
+    """Ring load(s) of int_{dOmega} g w ds for piecewise-linear g of shape (n,) or (n, k)."""
     g = np.asarray(g, dtype=float)
-    if len(g) != system.mesh.n_boundary_nodes:
+    mesh = system.mesh
+    if len(g) != mesh.n_boundary_nodes:
         raise ParameterError("boundary function length mismatch")
-    b = np.zeros((system.mesh.n_nodes,) + g.shape[1:])
-    b[system.mesh.boundary_nodes] = system.boundary_mass @ g
+    b = np.zeros((len(system.part.ring),) + g.shape[1:])
+    b[mesh.n_interface_nodes :] = system.boundary_mass @ g
     return b
 
 
 def scatter_interface(system: SparseSystem, f: np.ndarray) -> np.ndarray:
-    """Load vector(s) of int_Gamma f w ds for piecewise-linear f of shape (n,) or (n, k)."""
+    """Ring load(s) of int_Gamma f w ds for piecewise-linear f of shape (n,) or (n, k)."""
     f = np.asarray(f, dtype=float)
-    if len(f) != system.mesh.n_interface_nodes:
+    mesh = system.mesh
+    if len(f) != mesh.n_interface_nodes:
         raise ParameterError("interface function length mismatch")
-    b = np.zeros((system.mesh.n_nodes,) + f.shape[1:])
-    b[system.mesh.interface_nodes] = system.interface_mass @ f
+    b = np.zeros((len(system.part.ring),) + f.shape[1:])
+    b[: mesh.n_interface_nodes] = system.interface_mass @ f
     return b
 
 
@@ -350,20 +432,21 @@ def interface_quadrature_integral(system: SparseSystem, values_at_quadrature) ->
 
     values_at_quadrature has shape (n_edges, 2) matching GAUSS_XI.
     """
-    mesh = system.mesh
-    edges = mesh.interface_edges
-    length = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+    length = system.mesh.interface_edge_lengths
     return float(np.sum(length[:, None] * GAUSS_W[None, :] * values_at_quadrature))
 
 
 def interface_fn_at_quadrature(mesh: Mesh, f) -> np.ndarray:
-    """Piecewise-linear interface function sampled at the edge Gauss points."""
+    """Piecewise-linear interface function sampled at the edge Gauss points.
+
+    f of shape (n,) gives (n_edges, 2); k functions as columns (n, k) give
+    (n_edges, 2, k). Edge e runs from node e to node e + 1.
+    """
     f = np.asarray(f, dtype=float)
     if len(f) != mesh.n_interface_nodes:
         raise ParameterError("interface function length mismatch")
-    f0 = f
-    f1 = np.roll(f, -1)
-    return f0[:, None] * (1.0 - GAUSS_XI)[None, :] + f1[:, None] * GAUSS_XI[None, :]
+    xi = GAUSS_XI.reshape((2,) + (1,) * (f.ndim - 1))
+    return f[:, None] * (1.0 - xi) + np.roll(f, -1, axis=0)[:, None] * xi
 
 
 def gamma_at_quadrature(system: SparseSystem) -> np.ndarray:

@@ -108,13 +108,10 @@ def runge_approximate(system: SparseSystem, f, tol: float, max_iter: int) -> Cgn
 
 def arc_integral_sq(system: SparseSystem, u_iface, edge_mask: np.ndarray) -> float:
     """int over the masked edges of u^2 ds, exact for piecewise-linear u."""
-    mesh = system.mesh
     u = np.asarray(u_iface, dtype=float)
     a = u
     b = np.roll(u, -1)
-    edges = mesh.interface_edges
-    length = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
-    per_edge = length * (a * a + a * b + b * b) / 3.0
+    per_edge = system.mesh.interface_edge_lengths * (a * a + a * b + b * b) / 3.0
     return float(per_edge[edge_mask].sum())
 
 
@@ -128,9 +125,7 @@ def arc_edge_mask(partition: PartitionSpec, arcs) -> np.ndarray:
 
 
 def arc_lengths(system: SparseSystem, partition: PartitionSpec) -> np.ndarray:
-    mesh = system.mesh
-    edges = mesh.interface_edges
-    length = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+    length = system.mesh.interface_edge_lengths
     return np.bincount(partition.arc_of_edge, weights=length, minlength=partition.n_arcs)
 
 

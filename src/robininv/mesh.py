@@ -9,6 +9,7 @@ over polygon edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +31,8 @@ class Mesh:
     interface_edges / boundary_edges: (E, 2) index pairs; edge e connects ring
         position e to position (e + 1) % E.
     h: maximum edge length.
-    cache: matrices derived from the mesh alone, filled by ``fem`` on first
-        use; it lives and dies with the mesh.
+    cache: the gamma-free part of the Galerkin system per conductivity,
+        filled by ``fem`` on first use; it lives and dies with the mesh.
     """
 
     nodes: np.ndarray
@@ -65,6 +66,11 @@ class Mesh:
     @property
     def boundary_theta(self) -> np.ndarray:
         return self.node_angle[self.boundary_nodes]
+
+    @cached_property
+    def interface_edge_lengths(self) -> np.ndarray:
+        """Length of every interface edge, computed once per mesh."""
+        return edge_lengths(self, self.interface_edges)
 
 
 @dataclass(frozen=True)

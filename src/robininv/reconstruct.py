@@ -15,8 +15,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import ParameterError
 from .fem import (
+    GAUSS_SHAPE,
     GAUSS_W,
-    GAUSS_XI,
     Conductivity,
     SparseSystem,
     assemble_system,
@@ -80,50 +80,42 @@ def add_noise(data: DataSet, eps: float, seed: int) -> DataSet:
     return DataSet(fluxes=list(data.fluxes), measurements=noisy, noise_level=eps, seed=seed)
 
 
-def _data_misfit(system: SparseSystem, data: DataSet):
-    """Forward solves, residuals, and the data half of the cost.
+def _misfit(system: SparseSystem, data: DataSet, lam: float):
+    """Cost J of the system's gamma, plus the states and residuals its gradient reuses.
 
     States and residuals hold one column per flux; all fluxes share one solve.
     """
     states = solve_forward(system, np.column_stack(data.fluxes))
     residuals = trace_boundary(system.mesh, states) - np.column_stack(data.measurements)
     J_data = 0.5 * float(np.sum(residuals * (system.boundary_mass @ residuals)))
-    return states, residuals, J_data
+    gamma = np.asarray(system.gamma, dtype=float)
+    return J_data + 0.5 * lam * interface_l2(system, gamma, gamma), states, residuals
+
+
+def _covector(system: SparseSystem, states, residuals, lam: float) -> np.ndarray:
+    """Exact discrete derivative dJ(gamma; ghat) = ghat @ covector, from one adjoint solve."""
+    mesh = system.mesh
+    adjoints = solve_adjoint(system, residuals)
+    uq = interface_fn_at_quadrature(mesh, trace_interface(mesh, states))
+    vq = interface_fn_at_quadrature(mesh, trace_interface(mesh, adjoints))
+    # sum over fluxes of u v at the edge Gauss points, times the rule's weights
+    uvw = (uq * vq).sum(axis=2) * GAUSS_W * mesh.interface_edge_lengths[:, None]
+    # d/dgamma_n of the assembled Robin term, paired with u and v: edge e feeds
+    # its first node e and its second node e + 1
+    contrib = uvw @ GAUSS_SHAPE.T  # (E, local node)
+    covector = contrib[:, 0] + np.roll(contrib[:, 1], 1)
+    return covector + lam * (system.interface_mass @ np.asarray(system.gamma, dtype=float))
 
 
 def cost(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float = 0.0) -> float:
-    system = assemble_system(mesh, sigma, gamma)
-    _, _, J_data = _data_misfit(system, data)
-    return J_data + 0.5 * lam * interface_l2(system, gamma, gamma)
-
-
-def _gradient_covector(system: SparseSystem, data: DataSet, lam: float):
-    """Exact discrete derivative dJ(gamma; ghat) = ghat @ covector, plus J."""
-    mesh = system.mesh
-    states, residuals, J_data = _data_misfit(system, data)
-    adjoints = solve_adjoint(system, residuals)
-    edges = mesh.interface_edges
-    length = np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
-    shp = np.stack([1.0 - GAUSS_XI, GAUSS_XI], axis=0)  # (local node, q)
-    # sum over fluxes of u v at the edge Gauss points
-    uv = sum(
-        interface_fn_at_quadrature(mesh, u) * interface_fn_at_quadrature(mesh, v)
-        for u, v in zip(trace_interface(mesh, states).T, trace_interface(mesh, adjoints).T)
-    )
-    # d/dgamma_n of the assembled Robin term, paired with u and v: edge e feeds
-    # its first node e and its second node e + 1
-    contrib = np.einsum("eq,iq,q->ei", uv * length[:, None], shp, GAUSS_W)
-    covector = contrib[:, 0] + np.roll(contrib[:, 1], 1)
-    gamma = np.asarray(system.gamma, dtype=float)
-    J = J_data + 0.5 * lam * interface_l2(system, gamma, gamma)
-    covector = covector + lam * (system.interface_mass @ gamma)
-    return J, covector
+    return _misfit(assemble_system(mesh, sigma, gamma), data, lam)[0]
 
 
 def gradient(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float = 0.0) -> np.ndarray:
     """Riesz representer of the cost derivative in the interface mass inner product."""
     system = assemble_system(mesh, sigma, gamma)
-    _, covector = _gradient_covector(system, data, lam)
+    _, states, residuals = _misfit(system, data, lam)
+    covector = _covector(system, states, residuals, lam)
     return spla.spsolve(system.interface_mass.tocsc(), covector)
 
 
@@ -149,21 +141,22 @@ def bfgs_minimize(
         raise ParameterError("gamma_init violates the admissible bounds")
 
     n = len(x)
-    _, mass, _ = gamma_free_part(mesh, sigma)
-    mass_lu = spla.splu(mass.tocsc())
+    mass_lu = spla.splu(gamma_free_part(mesh, sigma).interface_mass.tocsc())
 
     def evaluate(gamma):
+        """Cost of gamma, and the system, states and residuals its gradient reuses."""
         system = assemble_system(mesh, sigma, gamma)
-        J, covector = _gradient_covector(system, data, lam)
-        representer = mass_lu.solve(covector)
-        return J, covector, representer
+        J, states, residuals = _misfit(system, data, lam)
+        return J, (system, states, residuals)
 
-    def cost_only(gamma):
-        system = assemble_system(mesh, sigma, gamma)
-        _, _, J_data = _data_misfit(system, data)
-        return J_data + 0.5 * lam * interface_l2(system, gamma, gamma)
+    def gradient_at(evaluation):
+        """Covector and representer: one adjoint solve on the evaluated system."""
+        covector = _covector(*evaluation, lam)
+        return covector, mass_lu.solve(covector)
 
-    J, grad, rep = evaluate(x)
+    J, evaluation = evaluate(x)
+    grad, rep = gradient_at(evaluation)
+    del evaluation  # no factor is kept alive while the next line search runs
     grad_inf = float(np.abs(rep).max())
     gtol = opts.gtol if opts.gtol is not None else opts.gtol_rel * grad_inf
     H = np.eye(n)
@@ -183,7 +176,7 @@ def bfgs_minimize(
         accepted = False
         for _halving in range(opts.max_halvings + 1):
             cand = np.clip(x + step * d, opts.c0, opts.c1)
-            J_cand = cost_only(cand)
+            J_cand, evaluation = evaluate(cand)
             if J_cand <= J + opts.armijo_c * step * slope:
                 accepted = True
                 break
@@ -191,7 +184,8 @@ def bfgs_minimize(
         if not accepted:
             state.status = "line_search_failure"
             return state
-        J_new, grad_new, rep_new = evaluate(cand)
+        grad_new, rep_new = gradient_at(evaluation)
+        del evaluation
         s = cand - x
         y = grad_new - grad
         sy = float(s @ y)
@@ -199,7 +193,7 @@ def bfgs_minimize(
             rho = 1.0 / sy
             V = np.eye(n) - rho * np.outer(s, y)
             H = V @ H @ V.T + rho * np.outer(s, s)
-        x, J, grad, rep = cand, J_new, grad_new, rep_new
+        x, J, grad, rep = cand, J_cand, grad_new, rep_new
         grad_inf = float(np.abs(rep).max())
         state.gamma = x
         state.H = H

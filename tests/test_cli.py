@@ -141,15 +141,6 @@ def test_seed_flag_overrides_config(tmp_path):
     assert "seed=99" in first2
 
 
-def test_threads_env_var(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "out"
-    monkeypatch.setenv("ROBININV_THREADS", "2")
-    assert cli.main(["mesh", "--config", cfg, "--out", str(out)]) == 0
-    monkeypatch.setenv("ROBININV_THREADS", "zero")
-    assert cli.main(["mesh", "--config", cfg, "--out", str(out)]) == 1
-
-
 def test_example1_determinism(tmp_path):
     cfg = write_config(tmp_path)
     out1 = tmp_path / "r1"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robininv as ri
 from robininv import cli, fem
@@ -194,44 +197,58 @@ def test_curve_mass_matrix_row_sums(mesh_coarse):
     assert perimeter == pytest.approx(32 * 2 * np.sin(np.pi / 32), abs=1e-12)
 
 
-def _spy_on_factorization(monkeypatch):
-    """Count the sparse LU factorizations done through robininv.fem."""
+def _spy(monkeypatch, module, name):
+    """Record the shape of the first argument of every call to module.name."""
     calls = []
-    real = fem.spla.splu
+    real = getattr(module, name)
 
     def spy(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fem.spla, "splu", spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def _spy_on_factorizations(monkeypatch):
+    """Sparse LU and dense Cholesky factorizations done through robininv.fem."""
+    return _spy(monkeypatch, fem.spla, "splu"), _spy(monkeypatch, fem.la, "cho_factor")
 
 
 def test_many_solves_factor_once(sigma, monkeypatch):
     mesh = ri.generate_disk_mesh(2, 2, 32)
+    n_ring = mesh.n_interface_nodes + mesh.n_boundary_nodes
+    n_int = mesh.n_nodes - n_ring
+    sparse, dense = _spy_on_factorizations(monkeypatch)
     system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 2.0))
-    calls = _spy_on_factorization(monkeypatch)
     for k in range(1, 4):
         ri.solve_forward(system, np.cos(k * mesh.boundary_theta))
     ri.solve_adjoint(system, np.sin(mesh.boundary_theta))
     ri.solve_interface_source(system, np.cos(mesh.interface_theta))
     ri.nd_form_matrix(system, 4)
-    assert calls == [(mesh.n_nodes, mesh.n_nodes)]
+    assert dense == [(n_ring, n_ring)]
+    assert sparse == [(n_int, n_int)]  # the K_II factor of this (mesh, sigma)
+    # a new gamma on the same (mesh, sigma) costs one dense factorization only
+    other = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 3.0))
+    ri.nd_form_matrix(other, 4)
+    assert dense == [(n_ring, n_ring)] * 2
+    assert sparse == [(n_int, n_int)]
 
 
 def test_unsolved_system_never_factored(sigma, monkeypatch):
     mesh = ri.generate_disk_mesh(2, 2, 32)
-    calls = _spy_on_factorization(monkeypatch)
+    sparse, dense = _spy_on_factorizations(monkeypatch)
     system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 2.0))
     ones = np.ones(mesh.n_boundary_nodes)
     assert ri.boundary_l2(system, ones, ones) > 0
     assert ri.interface_norm(system, np.ones(mesh.n_interface_nodes)) > 0
-    assert calls == []
+    assert dense == []
     # the reference system of lipschitz_constant is only read for its boundary
     # mass: one factorization per (k, m) system and none for the reference
     part = ri.interface_partition(mesh, 2)
     report = ri.lipschitz_constant(mesh, sigma, 1.0, 1.2, part)
-    assert len(calls) == len(report.entries) == 2
+    assert len(dense) == len(report.entries) == 2
+    assert len(sparse) == 1  # one K_II factor for this (mesh, sigma)
 
 
 def test_batched_solve_matches_single_solves(system_coarse):
@@ -247,12 +264,61 @@ def test_batched_solve_matches_single_solves(system_coarse):
         assert np.abs(batched - single).max() <= 1e-14 * np.abs(single).max()
 
 
+@pytest.mark.parametrize("rung", [(2, 2, 32), (4, 4, 64)])
+def test_condensed_solve_matches_full_sparse_solve(rung, sigma):
+    mesh = ri.generate_disk_mesh(*rung)
+    theta = mesh.interface_theta
+    rng = np.random.default_rng(7)
+    G = rng.standard_normal((mesh.n_boundary_nodes, 3))
+    F = rng.standard_normal((mesh.n_interface_nodes, 2))
+    arcwise = ri.ArcwiseGamma(ri.interface_partition(mesh, 4), [0.5, 1.0, 2.0, 4.0])
+    for gamma in (1.0 + 0.5 * np.cos(theta), arcwise):
+        system = ri.assemble_system(mesh, sigma, gamma)
+        K = (stiffness_matrix(mesh, sigma) + interface_form_matrix(mesh, gamma)).tocsc()
+        b_boundary = np.zeros((mesh.n_nodes, G.shape[1]))
+        b_boundary[mesh.boundary_nodes] = system.boundary_mass @ G
+        b_interface = np.zeros((mesh.n_nodes, F.shape[1]))
+        b_interface[mesh.interface_nodes] = system.interface_mass @ F
+        for x, b in (
+            (ri.solve_forward(system, G), b_boundary),
+            (ri.solve_adjoint(system, G), -b_boundary),
+            (ri.solve_interface_source(system, F), b_interface),
+        ):
+            ref = spla.spsolve(K, b)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_r_inner=st.integers(1, 3),
+    n_r_outer=st.integers(1, 3),
+    half_theta=st.integers(4, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_condensed_solve_matches_full_sparse_solve_property(
+    n_r_inner, n_r_outer, half_theta, seed
+):
+    mesh = ri.generate_disk_mesh(n_r_inner, n_r_outer, 2 * half_theta)
+    rng = np.random.default_rng(seed)
+    sigma = ri.Conductivity(*rng.uniform(0.2, 5.0, size=2))
+    gamma = rng.uniform(0.05, 10.0, size=mesh.n_interface_nodes)
+    g = rng.standard_normal(mesh.n_boundary_nodes)
+    system = ri.assemble_system(mesh, sigma, gamma)
+    K = (stiffness_matrix(mesh, sigma) + interface_form_matrix(mesh, gamma)).tocsc()
+    b = np.zeros(mesh.n_nodes)
+    b[mesh.boundary_nodes] = system.boundary_mass @ g
+    ref = spla.spsolve(K, b)
+    assert np.abs(ri.solve_forward(system, g) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_nan_matrix_raises_numerical_error(sigma):
     mesh = ri.generate_disk_mesh(2, 2, 32)
-    system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 2.0))
-    system.K.data[0] = np.nan
-    with pytest.raises(ri.NumericalError):
-        ri.solve_forward(system, np.cos(mesh.boundary_theta))
+    g = np.cos(mesh.boundary_theta)
+    for poison in (np.nan, -1.0):  # non-finite, and not positive definite
+        system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 2.0))
+        system.A[0, 0] = poison
+        with pytest.raises(ri.NumericalError):
+            ri.solve_forward(system, g)
 
 
 def test_non_finite_solution_raises_numerical_error(system_coarse):
@@ -265,7 +331,7 @@ def test_non_finite_solution_raises_numerical_error(system_coarse):
 def test_cli_maps_numerical_error_to_exit_2(tmp_path, monkeypatch):
     def poisoned(mesh, sigma, gamma):
         system = ri.assemble_system(mesh, sigma, gamma)
-        system.K.data[:] = np.nan
+        system.A[:] = np.nan
         return system
 
     monkeypatch.setattr(cli, "assemble_system", poisoned)
@@ -274,17 +340,28 @@ def test_cli_maps_numerical_error_to_exit_2(tmp_path, monkeypatch):
     assert cli.main(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
 
 
+def _dense_schur(mesh, K):
+    """S = K_RR - K_RI K_II^-1 K_IR with R = interface then boundary nodes."""
+    ring = np.concatenate([mesh.interface_nodes, mesh.boundary_nodes])
+    interior = np.setdiff1d(np.arange(mesh.n_nodes), ring)
+    K = K.toarray()
+    K_RI = K[np.ix_(ring, interior)]
+    return K[np.ix_(ring, ring)] - K_RI @ np.linalg.solve(K[np.ix_(interior, interior)], K_RI.T)
+
+
 def test_cached_gamma_free_part_matches_fresh_assembly(sigma):
     mesh = ri.generate_disk_mesh(2, 2, 32)
     theta = mesh.interface_theta
     ri.assemble_system(mesh, sigma, np.ones(mesh.n_interface_nodes))  # fills the cache
     for gamma in (1.0 + 0.5 * np.cos(theta), np.exp(np.sin(2 * theta))):
-        K = ri.assemble_system(mesh, sigma, gamma).K
-        fresh = stiffness_matrix(mesh, sigma) + interface_form_matrix(mesh, gamma)
-        assert abs(K - fresh).max() <= 1e-15 * abs(fresh).max()
+        A = ri.assemble_system(mesh, sigma, gamma).A
+        K = stiffness_matrix(mesh, sigma) + interface_form_matrix(mesh, gamma)
+        fresh = _dense_schur(mesh, K)
+        assert np.abs(A - fresh).max() <= 1e-13 * np.abs(fresh).max()
     assert list(mesh.cache) == [sigma]
     other = ri.Conductivity(1.0, 3.0)
-    K = ri.assemble_system(mesh, other, np.ones(mesh.n_interface_nodes)).K
-    fresh = stiffness_matrix(mesh, other) + interface_form_matrix(mesh, np.ones(len(theta)))
-    assert abs(K - fresh).max() <= 1e-15 * abs(fresh).max()
+    ones = np.ones(len(theta))
+    A = ri.assemble_system(mesh, other, ones).A
+    fresh = _dense_schur(mesh, stiffness_matrix(mesh, other) + interface_form_matrix(mesh, ones))
+    assert np.abs(A - fresh).max() <= 1e-13 * np.abs(fresh).max()
     assert len(mesh.cache) == 2
