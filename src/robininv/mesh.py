@@ -72,6 +72,20 @@ class Mesh:
         """Length of every interface edge, computed once per mesh."""
         return edge_lengths(self, self.interface_edges)
 
+    @cached_property
+    def theta_step(self) -> np.ndarray | None:
+        """Node permutation that turns a structured polar mesh by one theta step.
+
+        Node p moves to node theta_step[p]: the center stays, every ring node
+        moves one position on its ring. None if the mesh does not come from
+        :func:`generate_disk_mesh`, whose node layout this relies on.
+        """
+        if not self.params:
+            return None
+        n_theta = self.params[2]
+        k = np.arange(self.n_nodes - 1)
+        return np.concatenate([[0], 1 + k - k % n_theta + (k + 1) % n_theta])
+
 
 @dataclass(frozen=True)
 class PartitionSpec:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -12,26 +14,27 @@ from robininv.fem import curve_mass_matrix, interface_form_matrix, stiffness_mat
 def test_assembly_symmetric_and_split(mesh_coarse):
     sigma_unit = ri.Conductivity(1.0, 1.0)
     ones = np.ones(mesh_coarse.n_interface_nodes)
-    system = ri.assemble_system(mesh_coarse, sigma_unit, ones)
-    K = system.K
-    assert abs(K - K.T).max() == 0.0
-    expected = stiffness_matrix(mesh_coarse, sigma_unit) + interface_form_matrix(mesh_coarse, ones)
-    assert abs(K - expected).max() == 0.0
+    A = ri.assemble_system(mesh_coarse, sigma_unit, ones).A
+    assert A.shape == (2 * mesh_coarse.n_interface_nodes,) * 2  # interface then boundary
+    assert np.abs(A - A.T).max() <= 1e-14 * np.abs(A).max()
 
 
 def test_gamma_enters_linearly(mesh_coarse, sigma):
+    # only the interface block of A depends on gamma, through the Robin term
     ones = np.ones(mesh_coarse.n_interface_nodes)
-    K1 = ri.assemble_system(mesh_coarse, sigma, ones).K
-    K2 = ri.assemble_system(mesh_coarse, sigma, 2.0 * ones).K
-    diff = K2 - K1
-    assert abs(diff - interface_form_matrix(mesh_coarse, ones)).max() < 1e-14
+    A1 = ri.assemble_system(mesh_coarse, sigma, ones).A
+    A2 = ri.assemble_system(mesh_coarse, sigma, 2.0 * ones).A
+    gamma_nodes = mesh_coarse.interface_nodes
+    robin = interface_form_matrix(mesh_coarse, ones)[gamma_nodes][:, gamma_nodes].toarray()
+    expected = np.zeros_like(A1)
+    expected[: len(gamma_nodes), : len(gamma_nodes)] = robin
+    assert np.abs((A2 - A1) - expected).max() < 1e-14 * np.abs(A1).max()
 
 
 def test_system_positive_definite(sigma):
     mesh = ri.generate_disk_mesh(2, 2, 16)
     system = ri.assemble_system(mesh, sigma, np.ones(mesh.n_interface_nodes))
-    eigs = np.linalg.eigvalsh(system.K.toarray())
-    assert eigs.min() > 0
+    assert np.linalg.eigvalsh(system.A).min() > 0
 
 
 def test_nonpositive_gamma_rejected(mesh_coarse, sigma):
@@ -319,6 +322,17 @@ def test_nan_matrix_raises_numerical_error(sigma):
         system.A[0, 0] = poison
         with pytest.raises(ri.NumericalError):
             ri.solve_forward(system, g)
+        with pytest.raises(ri.NumericalError):  # the half-factored matrix is not reused
+            ri.solve_forward(system, g)
+
+
+def test_first_solve_consumes_the_matrix(system_coarse):
+    mesh = system_coarse.mesh
+    system = ri.assemble_system(mesh, system_coarse.sigma, system_coarse.gamma)
+    assert system.A is not None
+    u = ri.solve_forward(system, np.cos(mesh.boundary_theta))
+    assert system.A is None  # the Cholesky factor took its place
+    assert np.array_equal(ri.solve_forward(system, np.cos(mesh.boundary_theta)), u)
 
 
 def test_non_finite_solution_raises_numerical_error(system_coarse):
@@ -365,3 +379,23 @@ def test_cached_gamma_free_part_matches_fresh_assembly(sigma):
     fresh = _dense_schur(mesh, stiffness_matrix(mesh, other) + interface_form_matrix(mesh, ones))
     assert np.abs(A - fresh).max() <= 1e-13 * np.abs(fresh).max()
     assert len(mesh.cache) == 2
+
+
+def test_schur_without_rotational_symmetry_matches_dense(sigma, tmp_path):
+    # a generated mesh takes S from two columns; moving one interior node, or
+    # losing the layout on a save and load, leaves the column-block path
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    assert fem._turns_onto_itself(mesh, stiffness_matrix(mesh, sigma))
+    nodes = mesh.nodes.copy()
+    nodes[0] += 1e-3  # the center
+    moved = dataclasses.replace(mesh, nodes=nodes)
+    ri.save_mesh(mesh, tmp_path / "mesh.txt")
+    loaded = ri.load_mesh(tmp_path / "mesh.txt")
+    assert loaded.theta_step is None
+    gamma = 1.0 + 0.5 * np.cos(mesh.interface_theta)
+    for other in (moved, loaded):
+        K = stiffness_matrix(other, sigma)
+        assert not fem._turns_onto_itself(other, K)
+        A = ri.assemble_system(other, sigma, gamma).A
+        fresh = _dense_schur(other, K + interface_form_matrix(other, gamma))
+        assert np.abs(A - fresh).max() <= 1e-13 * np.abs(fresh).max()
