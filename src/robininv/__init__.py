@@ -11,6 +11,7 @@ from .fem import (
     boundary_norm,
     interface_l2,
     interface_norm,
+    nodal_field,
     oracle_boundary_trace,
     oracle_interface_trace,
     solve_adjoint,

@@ -33,6 +33,7 @@ from . import (
     interface_partition,
     lipschitz_constant,
     localized_potential,
+    nodal_field,
     nd_form_matrix,
     nd_quadratic_form,
     save_mesh,
@@ -212,7 +213,7 @@ def cmd_forward(cfg, out):
     gamma = gamma_selector(cfg.gamma_true, mesh.interface_theta)
     system = assemble_system(mesh, sigma, gamma)
     g = flux_selector(cfg.flux, mesh.boundary_theta)
-    u = solve_forward(system, g)
+    u = nodal_field(system, solve_forward(system, g))
     rows = [(i, float(x), float(y), float(v)) for i, ((x, y), v) in enumerate(zip(mesh.nodes, u))]
     write_csv(os.path.join(out, "field.csv"), ["node", "x", "y", "value"], rows, cfg)
     write_text(

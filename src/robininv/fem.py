@@ -78,9 +78,8 @@ def _gamma_edge_values(mesh: Mesh, gamma, xi: np.ndarray) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=float)
     if len(gamma) != mesh.n_interface_nodes:
         raise ParameterError("gamma must have one value per interface node")
-    g0 = gamma
-    g1 = np.roll(gamma, -1)
-    return g0[:, None] * (1.0 - xi)[None, :] + g1[:, None] * xi[None, :]
+    g1 = gamma[mesh.interface_next]
+    return gamma[:, None] * (1.0 - xi)[None, :] + g1[:, None] * xi[None, :]
 
 
 def _gamma_min(mesh: Mesh, gamma) -> float:
@@ -148,11 +147,7 @@ class SparseSystem:
     def gamma_nodal(self) -> np.ndarray:
         """Nodal values on interface nodes (arcwise gamma: lower-index arc wins)."""
         if isinstance(self.gamma, ArcwiseGamma):
-            part = self.gamma.partition
-            n = self.mesh.n_interface_nodes
-            arc_prev = part.arc_of_edge[(np.arange(n) - 1) % n]
-            arc_next = part.arc_of_edge
-            return self.gamma.values[np.minimum(arc_prev, arc_next)]
+            return self.gamma.values[self.gamma.partition.node_arc]
         return np.asarray(self.gamma, dtype=float)
 
 
@@ -280,21 +275,20 @@ def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
     ke = _robin_edge_matrices(mesh, gamma)
     # the interface nodes are the first ring positions; edge e joins e and e + 1
     i = np.arange(mesh.n_interface_nodes)
-    j = np.roll(i, -1)
+    j = mesh.interface_next
     A = part.schur.copy()
-    A[i, i] += ke[:, 0, 0] + np.roll(ke[:, 1, 1], 1)
+    A[i, i] += ke[:, 0, 0] + ke[mesh.interface_prev, 1, 1]
     A[i, j] += ke[:, 0, 1]
     A[j, i] += ke[:, 1, 0]
     return SparseSystem(mesh=mesh, sigma=sigma, gamma=gamma, A=A, part=part)
 
 
 def _solve(system: SparseSystem, b: np.ndarray) -> np.ndarray:
-    """Solve K x = b for a load on the ring nodes, (n_R,) or (n_R, k); return the full field.
+    """Solve K x = b for a load on the ring nodes, (n_R,) or (n_R, k); return x_R.
 
-    The ring values come from the Cholesky factor of A, the interior values
-    from x_I = -K_II^-1 K_IR x_R, since no load reaches an interior node.
+    No load reaches an interior node, so the ring values come from the
+    Cholesky factor of A alone; :func:`nodal_field` recovers the interior.
     """
-    part = system.part
     if system._cho is None:
         if system.A is None:
             raise NumericalError("Cholesky factorization of this system failed before")
@@ -305,11 +299,26 @@ def _solve(system: SparseSystem, b: np.ndarray) -> np.ndarray:
             system._cho = la.cho_factor(A.T, overwrite_a=True, check_finite=False)
         except la.LinAlgError as exc:
             raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-    x = np.empty((system.mesh.n_nodes,) + b.shape[1:])
-    x[part.ring] = x_ring = la.cho_solve(system._cho, b, check_finite=False)
-    x[part.interior] = -part.interior_lu.solve(part.K_IR @ x_ring)
+    x = la.cho_solve(system._cho, b, check_finite=False)
     if not np.isfinite(x).all():
         raise NumericalError("linear solve produced non-finite values")
+    return x
+
+
+def nodal_field(system: SparseSystem, x_ring: np.ndarray) -> np.ndarray:
+    """Full nodal field(s) of ring values x_R, (n_R,) or (n_R, k), from a solve.
+
+    The interior values are x_I = -K_II^-1 K_IR x_R.
+    """
+    part = system.part
+    x_ring = np.asarray(x_ring, dtype=float)
+    if len(x_ring) != len(part.ring):
+        raise ParameterError("ring vector length does not match the system")
+    x = np.empty((system.mesh.n_nodes,) + x_ring.shape[1:])
+    x[part.ring] = x_ring
+    x[part.interior] = -part.interior_lu.solve(part.K_IR @ x_ring)
+    if not np.isfinite(x).all():
+        raise NumericalError("interior recovery produced non-finite values")
     return x
 
 
@@ -353,18 +362,21 @@ def solve_interface_source(system: SparseSystem, f: np.ndarray) -> np.ndarray:
     return _solve(system, scatter_interface(system, f))
 
 
-def trace_interface(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if len(u) != mesh.n_nodes:
-        raise ParameterError("field length does not match mesh")
-    return u[mesh.interface_nodes]
+def _ring_values(mesh: Mesh, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if len(x) != mesh.n_interface_nodes + mesh.n_boundary_nodes:
+        raise ParameterError("ring vector length does not match mesh")
+    return x
 
 
-def trace_boundary(mesh: Mesh, u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if len(u) != mesh.n_nodes:
-        raise ParameterError("field length does not match mesh")
-    return u[mesh.boundary_nodes]
+def trace_interface(mesh: Mesh, x: np.ndarray) -> np.ndarray:
+    """Interface values of ring values x_R, as every solve returns them."""
+    return _ring_values(mesh, x)[: mesh.n_interface_nodes]
+
+
+def trace_boundary(mesh: Mesh, x: np.ndarray) -> np.ndarray:
+    """Boundary values of ring values x_R, as every solve returns them."""
+    return _ring_values(mesh, x)[mesh.n_interface_nodes :]
 
 
 def _curve_l2(M: sp.csr_matrix, f1, f2) -> float:
@@ -473,7 +485,7 @@ def interface_fn_at_quadrature(mesh: Mesh, f) -> np.ndarray:
     if len(f) != mesh.n_interface_nodes:
         raise ParameterError("interface function length mismatch")
     xi = GAUSS_XI.reshape((2,) + (1,) * (f.ndim - 1))
-    return f[:, None] * (1.0 - xi) + np.roll(f, -1, axis=0)[:, None] * xi
+    return f[:, None] * (1.0 - xi) + f[mesh.interface_next][:, None] * xi
 
 
 def gamma_at_quadrature(system: SparseSystem) -> np.ndarray:

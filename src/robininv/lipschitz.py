@@ -91,11 +91,7 @@ def gamma_km_arcwise(k: int, m: int, a: float, partition: PartitionSpec) -> Arcw
 
 def build_gamma_km(k: int, m: int, a: float, partition: PartitionSpec) -> np.ndarray:
     """Nodal values of gamma^(km); arc-boundary nodes take the lower-index arc."""
-    arc = gamma_km_arcwise(k, m, a, partition)
-    n = len(partition.arc_of_edge)
-    arc_prev = partition.arc_of_edge[(np.arange(n) - 1) % n]
-    arc_next = partition.arc_of_edge
-    return arc.values[np.minimum(arc_prev, arc_next)]
+    return gamma_km_arcwise(k, m, a, partition).values[partition.node_arc]
 
 
 def gkm_condition(

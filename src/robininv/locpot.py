@@ -108,9 +108,8 @@ def runge_approximate(system: SparseSystem, f, tol: float, max_iter: int) -> Cgn
 
 def arc_integral_sq(system: SparseSystem, u_iface, edge_mask: np.ndarray) -> float:
     """int over the masked edges of u^2 ds, exact for piecewise-linear u."""
-    u = np.asarray(u_iface, dtype=float)
-    a = u
-    b = np.roll(u, -1)
+    a = np.asarray(u_iface, dtype=float)
+    b = a[system.mesh.interface_next]
     per_edge = system.mesh.interface_edge_lengths * (a * a + a * b + b * b) / 3.0
     return float(per_edge[edge_mask].sum())
 
@@ -131,12 +130,8 @@ def arc_lengths(system: SparseSystem, partition: PartitionSpec) -> np.ndarray:
 
 def indicator_nodal(partition: PartitionSpec, arcs) -> np.ndarray:
     """Nodal indicator of an arc set; shared nodes go to the lower-index arc."""
-    n = len(partition.arc_of_edge)
-    arc_prev = partition.arc_of_edge[(np.arange(n) - 1) % n]
-    arc_next = partition.arc_of_edge
-    node_arc = np.minimum(arc_prev, arc_next)
     arcs = np.atleast_1d(np.asarray(arcs, dtype=np.int64))
-    return np.isin(node_arc, arcs).astype(float)
+    return np.isin(partition.node_arc, arcs).astype(float)
 
 
 def localized_potential(

@@ -19,6 +19,11 @@ INTERFACE_RADIUS = 0.5
 OUTER_RADIUS = 1.0
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class Mesh:
     """Conforming triangulation of the unit disk.
@@ -31,8 +36,14 @@ class Mesh:
     interface_edges / boundary_edges: (E, 2) index pairs; edge e connects ring
         position e to position (e + 1) % E.
     h: maximum edge length.
-    cache: the gamma-free part of the Galerkin system per conductivity,
-        filled by ``fem`` on first use; it lives and dies with the mesh.
+    cache: filled on first use, it lives and dies with the mesh. Per
+        conductivity, ``fem`` keeps the gamma-free part of the Galerkin
+        system: the Schur complement on the ring (interface and boundary)
+        nodes, the only nodes whose values a solve returns, and the interior
+        factor with which ``fem.nodal_field`` recovers the rest. Per
+        ``("nd_basis", n_modes)``, ``ndmap`` keeps the read-only
+        M-orthonormal trigonometric boundary basis, which depends on neither
+        gamma nor sigma.
     """
 
     nodes: np.ndarray
@@ -73,6 +84,16 @@ class Mesh:
         return edge_lengths(self, self.interface_edges)
 
     @cached_property
+    def interface_next(self) -> np.ndarray:
+        """Ring position e + 1 (cyclic) for every interface position e: the far end of edge e."""
+        return _read_only(np.roll(np.arange(self.n_interface_nodes), -1))
+
+    @cached_property
+    def interface_prev(self) -> np.ndarray:
+        """Ring position e - 1 (cyclic) for every interface position e: the edge that ends at e."""
+        return _read_only(np.roll(np.arange(self.n_interface_nodes), 1))
+
+    @cached_property
     def theta_step(self) -> np.ndarray | None:
         """Node permutation that turns a structured polar mesh by one theta step.
 
@@ -98,6 +119,14 @@ class PartitionSpec:
     n_arcs: int
     arc_of_edge: np.ndarray
     arc_bounds: np.ndarray
+
+    @property
+    def node_arc(self) -> np.ndarray:
+        """Arc of every interface node: a shared node goes to the lower-index arc.
+
+        Node e is shared by edge e - 1 and edge e (cyclic).
+        """
+        return np.minimum(np.roll(self.arc_of_edge, 1), self.arc_of_edge)
 
     def edges_of_arc(self, m: int) -> np.ndarray:
         if not 0 <= m < self.n_arcs:
@@ -126,55 +155,27 @@ def generate_disk_mesh(n_r_inner: int, n_r_outer: int, n_theta: int) -> Mesh:
     ) / n_r_outer
 
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-
     nodes = np.zeros((1 + n_rings * n_theta, 2))
-    angle = np.zeros(len(nodes))
-    for j, r in enumerate(radii):
-        lo = 1 + j * n_theta
-        nodes[lo : lo + n_theta, 0] = r * cos_t
-        nodes[lo : lo + n_theta, 1] = r * sin_t
-        angle[lo : lo + n_theta] = theta
+    nodes[1:, 0] = (radii[:, None] * np.cos(theta)).ravel()
+    nodes[1:, 1] = (radii[:, None] * np.sin(theta)).ravel()
+    angle = np.concatenate([[0.0], np.tile(theta, n_rings)])
 
-    def ring(j):  # 1-based ring index -> node indices
-        lo = 1 + (j - 1) * n_theta
-        return np.arange(lo, lo + n_theta)
+    # ring[j] holds the nodes of ring j + 1 in theta order, ring_next their successors
+    ring = 1 + np.arange(n_rings * n_theta).reshape(n_rings, n_theta)
+    ring_next = np.roll(ring, -1, axis=1)
+    fan = np.column_stack([np.zeros(n_theta, dtype=np.int64), ring[0], ring_next[0]])
+    # band j joins ring j + 1 (a) to ring j + 2 (b): two triangles per theta cell
+    a, a_nxt, b, b_nxt = ring[:-1], ring_next[:-1], ring[1:], ring_next[1:]
+    band = np.stack([a, b, b_nxt, a, b_nxt, a_nxt], axis=-1)
+    triangles = np.concatenate([fan, band.reshape(-1, 3)])
+    band_tag = np.where(np.arange(2, n_rings + 1) <= n_r_inner, 1, 2)
+    regions = np.concatenate([np.ones(n_theta, dtype=np.int64), np.repeat(band_tag, 2 * n_theta)])
 
-    tris = []
-    regions = []
-    r1 = ring(1)
-    nxt = np.roll(r1, -1)
-    for i in range(n_theta):
-        tris.append((0, r1[i], nxt[i]))
-        regions.append(1)
-    for j in range(1, n_rings):
-        a = ring(j)
-        b = ring(j + 1)
-        a_nxt = np.roll(a, -1)
-        b_nxt = np.roll(b, -1)
-        tag = 1 if j + 1 <= n_r_inner else 2
-        for i in range(n_theta):
-            tris.append((a[i], b[i], b_nxt[i]))
-            tris.append((a[i], b_nxt[i], a_nxt[i]))
-            regions.append(tag)
-            regions.append(tag)
+    interface_nodes = ring[n_r_inner - 1]
+    boundary_nodes = ring[-1]
+    interface_edges = np.column_stack([interface_nodes, ring_next[n_r_inner - 1]])
+    boundary_edges = np.column_stack([boundary_nodes, ring_next[-1]])
 
-    triangles = np.asarray(tris, dtype=np.int64)
-    regions = np.asarray(regions, dtype=np.int64)
-
-    interface_nodes = ring(n_r_inner)
-    boundary_nodes = ring(n_rings)
-    interface_edges = np.column_stack([interface_nodes, np.roll(interface_nodes, -1)])
-    boundary_edges = np.column_stack([boundary_nodes, np.roll(boundary_nodes, -1)])
-
-    p = nodes[triangles]
-    edge_len = np.concatenate(
-        [
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-        ]
-    )
     return Mesh(
         nodes=nodes,
         node_angle=angle,
@@ -184,7 +185,7 @@ def generate_disk_mesh(n_r_inner: int, n_r_outer: int, n_theta: int) -> Mesh:
         boundary_nodes=boundary_nodes,
         interface_edges=interface_edges,
         boundary_edges=boundary_edges,
-        h=float(edge_len.max()),
+        h=_max_edge_length(nodes, triangles),
         params=(n_r_inner, n_r_outer, n_theta),
     )
 
@@ -223,6 +224,11 @@ def edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
     return np.linalg.norm(d, axis=1)
 
 
+def _max_edge_length(nodes: np.ndarray, triangles: np.ndarray) -> float:
+    p = nodes[triangles]
+    return float(np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max())
+
+
 def save_mesh(mesh: Mesh, path) -> None:
     """Write the plain-text mesh format (header ``robinmesh v1``)."""
     lines = ["robinmesh v1", str(mesh.n_nodes)]
@@ -241,53 +247,67 @@ def save_mesh(mesh: Mesh, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _read_block(rows, pos: int, width: int, dtype):
+    """The count on row pos and the block of count rows of width tokens after it."""
+    if pos >= len(rows) or len(rows[pos]) != 1:
+        raise ParameterError("mesh file: expected a count")
+    try:
+        n = int(rows[pos][0])
+        block = rows[pos + 1 : pos + 1 + n]
+        if n < 0 or len(block) != n or any(len(row) != width for row in block):
+            raise ValueError(f"expected {n} rows of {width} values")
+        return np.array(block, dtype=dtype).reshape(n, width), pos + 1 + n
+    except ValueError as exc:
+        raise ParameterError(f"mesh file: {exc}") from None
+
+
+def _check_ring(angle: np.ndarray, edges: np.ndarray, what: str) -> None:
+    """Edge e must run from ring position e to e + 1, once around the origin counter-clockwise."""
+    start = edges[:, 0]
+    if len(edges) < 3 or not np.array_equal(edges[:, 1], np.roll(start, -1)):
+        raise ParameterError(f"mesh file: the {what} edges do not form one closed cycle")
+    turn = np.mod(np.roll(angle[start], -1) - angle[start], 2.0 * np.pi)
+    if not ((turn > 0).all() and abs(turn.sum() - 2.0 * np.pi) < 1e-9):
+        raise ParameterError(f"mesh file: the {what} edges are not in theta order")
+
+
 def load_mesh(path) -> Mesh:
-    """Read the plain-text mesh format written by :func:`save_mesh`."""
+    """Read the plain-text mesh format written by :func:`save_mesh`.
+
+    A malformed file (short rows, wrong counts, non-numeric tokens, node
+    indices out of range) raises ParameterError, and so do interface or
+    boundary edges that do not each form one closed cycle in theta order.
+    """
     with open(path) as fh:
-        tokens = fh.read().split("\n")
-    rows = [row.split() for row in tokens if row.strip()]
-    if rows[0] != ["robinmesh", "v1"]:
+        rows = [line.split() for line in fh if line.strip()]
+    if not rows or rows[0] != ["robinmesh", "v1"]:
         raise ParameterError("not a robinmesh v1 file")
-    pos = 1
-    n_nodes = int(rows[pos][0])
-    pos += 1
-    nodes = np.empty((n_nodes, 2))
-    for _ in range(n_nodes):
-        i, x, y = rows[pos]
-        nodes[int(i)] = (float(x), float(y))
-        pos += 1
-    n_tri = int(rows[pos][0])
-    pos += 1
-    triangles = np.empty((n_tri, 3), dtype=np.int64)
-    regions = np.empty(n_tri, dtype=np.int64)
-    for _ in range(n_tri):
-        i, a, b, c, reg = (int(v) for v in rows[pos])
-        triangles[i] = (a, b, c)
-        regions[i] = reg
-        pos += 1
-    n_ie = int(rows[pos][0])
-    pos += 1
-    interface_edges = np.empty((n_ie, 2), dtype=np.int64)
-    for e in range(n_ie):
-        interface_edges[e] = [int(v) for v in rows[pos]]
-        pos += 1
-    n_be = int(rows[pos][0])
-    pos += 1
-    boundary_edges = np.empty((n_be, 2), dtype=np.int64)
-    for e in range(n_be):
-        boundary_edges[e] = [int(v) for v in rows[pos]]
-        pos += 1
+    node_rows, pos = _read_block(rows, 1, 3, float)
+    tri_rows, pos = _read_block(rows, pos, 5, np.int64)
+    interface_edges, pos = _read_block(rows, pos, 2, np.int64)
+    boundary_edges, pos = _read_block(rows, pos, 2, np.int64)
+    if pos != len(rows):
+        raise ParameterError("mesh file: unexpected rows after the boundary edges")
+    for block in (node_rows, tri_rows):
+        if not np.array_equal(block[:, 0], np.arange(len(block))):
+            raise ParameterError("mesh file: rows must be numbered 0, 1, 2, ...")
+    nodes = node_rows[:, 1:]
+    triangles, regions = tri_rows[:, 1:4], tri_rows[:, 4]
+    if not np.isfinite(nodes).all():
+        raise ParameterError("mesh file: non-finite node coordinates")
+    if not np.isin(regions, (1, 2)).all():
+        raise ParameterError("mesh file: region tags must be 1 or 2")
+    for indices in (triangles, interface_edges, boundary_edges):
+        if ((indices < 0) | (indices >= len(nodes))).any():
+            raise ParameterError("mesh file: node index out of range")
+    ring = np.concatenate([interface_edges[:, 0], boundary_edges[:, 0]])
+    if len(np.unique(ring)) != len(ring):
+        raise ParameterError("mesh file: a node appears twice on the interface and boundary")
 
     angle = np.mod(np.arctan2(nodes[:, 1], nodes[:, 0]), 2.0 * np.pi)
     angle[np.linalg.norm(nodes, axis=1) < 1e-14] = 0.0
-    p = nodes[triangles]
-    edge_len = np.concatenate(
-        [
-            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
-            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
-            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
-        ]
-    )
+    _check_ring(angle, interface_edges, "interface")
+    _check_ring(angle, boundary_edges, "boundary")
     return Mesh(
         nodes=nodes,
         node_angle=angle,
@@ -297,5 +317,6 @@ def load_mesh(path) -> Mesh:
         boundary_nodes=boundary_edges[:, 0].copy(),
         interface_edges=interface_edges,
         boundary_edges=boundary_edges,
-        h=float(edge_len.max()),
+        h=_max_edge_length(nodes, triangles),
     )
+

@@ -54,19 +54,31 @@ def raw_trig_basis(theta: np.ndarray, n_modes: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def orthonormal_boundary_basis(system: SparseSystem, n_modes: int) -> np.ndarray:
-    """Trigonometric boundary basis orthonormalized against the discrete mass."""
-    mesh = system.mesh
-    if 2 * n_modes + 1 > mesh.n_boundary_nodes:
-        raise ParameterError("basis larger than the boundary node count")
-    V = raw_trig_basis(mesh.boundary_theta, n_modes)
-    M = system.boundary_mass
-    gram = V.T @ (M @ V)
+def _orthonormalize(V: np.ndarray, M) -> np.ndarray:
+    """The columns of V, made M-orthonormal through the Cholesky factor of their Gram matrix."""
     try:
-        L = np.linalg.cholesky(gram)
+        L = np.linalg.cholesky(V.T @ (M @ V))
     except np.linalg.LinAlgError as exc:
         raise ParameterError("trigonometric basis is rank deficient on this mesh") from exc
     return np.linalg.solve(L, V.T).T
+
+
+def orthonormal_boundary_basis(system: SparseSystem, n_modes: int) -> np.ndarray:
+    """Trigonometric boundary basis orthonormalized against the discrete mass.
+
+    It depends on the mesh only (the boundary mass), so it is built once per
+    (mesh, n_modes), kept in ``mesh.cache`` and returned read-only.
+    """
+    mesh = system.mesh
+    if 2 * n_modes + 1 > mesh.n_boundary_nodes:
+        raise ParameterError("basis larger than the boundary node count")
+    key = ("nd_basis", n_modes)
+    basis = mesh.cache.get(key)
+    if basis is None:
+        basis = _orthonormalize(raw_trig_basis(mesh.boundary_theta, n_modes), system.boundary_mass)
+        basis.flags.writeable = False
+        mesh.cache[key] = basis
+    return basis
 
 
 def nd_form_matrix(system: SparseSystem, n_modes: int) -> NdForm:
@@ -79,13 +91,17 @@ def nd_form_matrix(system: SparseSystem, n_modes: int) -> NdForm:
     return NdForm(n_modes=n_modes, basis=B, matrix=B.T @ (M @ apply_nd(system, B)))
 
 
+def _difference_eigenvalues(F1: NdForm, F2: NdForm) -> np.ndarray:
+    """Eigenvalues of F1 - F2, symmetrized against rounding."""
+    diff = F1.matrix - F2.matrix
+    return np.linalg.eigvalsh(0.5 * (diff + diff.T))
+
+
 def operator_norm_diff(F1: NdForm, F2: NdForm) -> float:
     """Spectral radius of the difference of the two truncated forms."""
     if not F1.compatible_with(F2):
         raise ParameterError("ND forms use different bases")
-    diff = F1.matrix - F2.matrix
-    diff = 0.5 * (diff + diff.T)
-    return float(np.abs(np.linalg.eigvalsh(diff)).max())
+    return float(np.abs(_difference_eigenvalues(F1, F2)).max())
 
 
 def check_monotonicity(system1: SparseSystem, system2: SparseSystem, n_modes: int) -> float:
@@ -100,9 +116,7 @@ def check_monotonicity(system1: SparseSystem, system2: SparseSystem, n_modes: in
         raise ParameterError("check_monotonicity requires gamma1 <= gamma2 nodewise")
     F1 = nd_form_matrix(system1, n_modes)
     F2 = nd_form_matrix(system2, n_modes)
-    diff = F1.matrix - F2.matrix
-    diff = 0.5 * (diff + diff.T)
-    return float(np.linalg.eigvalsh(diff).min())
+    return float(_difference_eigenvalues(F1, F2).min())
 
 
 def monotonicity_estimate_check(system1: SparseSystem, system2: SparseSystem, g):

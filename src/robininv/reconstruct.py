@@ -103,7 +103,7 @@ def _covector(system: SparseSystem, states, residuals, lam: float) -> np.ndarray
     # d/dgamma_n of the assembled Robin term, paired with u and v: edge e feeds
     # its first node e and its second node e + 1
     contrib = uvw @ GAUSS_SHAPE.T  # (E, local node)
-    covector = contrib[:, 0] + np.roll(contrib[:, 1], 1)
+    covector = contrib[:, 0] + contrib[mesh.interface_prev, 1]
     return covector + lam * (system.interface_mass @ np.asarray(system.gamma, dtype=float))
 
 

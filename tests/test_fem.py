@@ -134,17 +134,21 @@ def test_interface_hat_source_reaches_boundary(system_coarse):
 
 def test_traces(system_coarse):
     mesh = system_coarse.mesh
-    const = np.full(mesh.n_nodes, 3.5)
+    n_ring = mesh.n_interface_nodes + mesh.n_boundary_nodes
+    const = np.full(n_ring, 3.5)
     assert np.all(ri.trace_interface(mesh, const) == 3.5)
     assert np.all(ri.trace_boundary(mesh, const) == 3.5)
     u = ri.solve_forward(system_coarse, np.ones(mesh.n_boundary_nodes))
+    assert u.shape == (n_ring,)
     assert np.allclose(ri.trace_interface(mesh, u), 1.0, atol=1e-2)
     # restriction then embedding is the identity on trace values
-    emb = np.zeros(mesh.n_nodes)
-    emb[mesh.interface_nodes] = ri.trace_interface(mesh, u)
+    emb = np.zeros(n_ring)
+    emb[: mesh.n_interface_nodes] = ri.trace_interface(mesh, u)
     assert np.array_equal(ri.trace_interface(mesh, emb), ri.trace_interface(mesh, u))
     with pytest.raises(ri.ParameterError):
         ri.trace_interface(mesh, u[:-1])
+    with pytest.raises(ri.ParameterError):  # a full nodal field is not a ring vector
+        ri.trace_boundary(mesh, ri.nodal_field(system_coarse, u))
 
 
 def test_curve_inner_products(system_mid):
@@ -262,7 +266,7 @@ def test_batched_solve_matches_single_solves(system_coarse):
     for solve, loads in ((ri.solve_forward, G), (ri.solve_adjoint, G),
                          (ri.solve_interface_source, F)):
         batched = solve(system_coarse, loads)
-        assert batched.shape == (mesh.n_nodes, loads.shape[1])
+        assert batched.shape == (mesh.n_interface_nodes + mesh.n_boundary_nodes, loads.shape[1])
         single = np.column_stack([solve(system_coarse, col) for col in loads.T])
         assert np.abs(batched - single).max() <= 1e-14 * np.abs(single).max()
 
@@ -287,6 +291,7 @@ def test_condensed_solve_matches_full_sparse_solve(rung, sigma):
             (ri.solve_adjoint(system, G), -b_boundary),
             (ri.solve_interface_source(system, F), b_interface),
         ):
+            x = ri.nodal_field(system, x)
             ref = spla.spsolve(K, b)
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -311,7 +316,8 @@ def test_condensed_solve_matches_full_sparse_solve_property(
     b = np.zeros(mesh.n_nodes)
     b[mesh.boundary_nodes] = system.boundary_mass @ g
     ref = spla.spsolve(K, b)
-    assert np.abs(ri.solve_forward(system, g) - ref).max() <= 1e-12 * np.abs(ref).max()
+    x = ri.nodal_field(system, ri.solve_forward(system, g))
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_nan_matrix_raises_numerical_error(sigma):
@@ -399,3 +405,26 @@ def test_schur_without_rotational_symmetry_matches_dense(sigma, tmp_path):
         A = ri.assemble_system(other, sigma, gamma).A
         fresh = _dense_schur(other, K + interface_form_matrix(other, gamma))
         assert np.abs(A - fresh).max() <= 1e-13 * np.abs(fresh).max()
+
+
+def test_lipschitz_and_stability_stay_on_the_ring(sigma, no_nodal_field):
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    report = ri.lipschitz_constant(mesh, sigma, 1.0, 1.5, ri.interface_partition(mesh, 2))
+    assert report.complete
+    samples = ri.verify_stability(report, mesh, sigma, 3, seed=1, n_modes=4)
+    assert len(samples) == 3
+
+
+def test_nodal_field_keeps_the_ring_values(system_coarse):
+    # a field is the solve's ring values plus the recovered interior, for one
+    # or k columns; the interior against spsolve is checked above
+    mesh = system_coarse.mesh
+    G = np.column_stack([np.cos(mesh.boundary_theta), np.sin(2 * mesh.boundary_theta)])
+    x_ring = ri.solve_forward(system_coarse, G)
+    x = ri.nodal_field(system_coarse, x_ring)
+    assert x.shape == (mesh.n_nodes, 2)
+    assert np.array_equal(x[system_coarse.part.ring], x_ring)
+    single = ri.nodal_field(system_coarse, x_ring[:, 0])
+    assert np.abs(single - x[:, 0]).max() <= 1e-14 * np.abs(single).max()
+    with pytest.raises(ri.ParameterError):
+        ri.nodal_field(system_coarse, x_ring[:-1])

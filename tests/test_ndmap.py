@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import robininv as ri
+from robininv import ndmap
 
 
 def make_system(mesh, sigma, gamma_values):
@@ -198,3 +199,41 @@ def test_alessandrini_random_sweep(mesh_coarse, sigma):
         g = rng.standard_normal(nb)
         h = rng.standard_normal(nb)
         assert ri.alessandrini_residual(s1, s2, g, h) <= 1e-10
+
+
+def test_nd_form_stays_on_the_ring(system_coarse, no_nodal_field):
+    F = ri.nd_form_matrix(system_coarse, 4)
+    assert F.matrix.shape == (9, 9)
+
+
+def test_basis_built_once_per_mesh_and_modes(sigma, monkeypatch):
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    calls = []
+    real = ndmap._orthonormalize
+
+    def spy(V, M):
+        calls.append(V.shape)
+        return real(V, M)
+
+    monkeypatch.setattr(ndmap, "_orthonormalize", spy)
+    report = ri.lipschitz_constant(mesh, sigma, 1.0, 1.5, ri.interface_partition(mesh, 2))
+    samples = ri.verify_stability(report, mesh, sigma, 5, seed=2, n_modes=4)
+    assert len(samples) == 5  # 10 ND forms of 2 gammas each
+    assert calls == [(32, 9)]
+    # another n_modes, or another mesh, orthonormalizes its own basis once
+    ri.verify_stability(report, mesh, sigma, 2, seed=3, n_modes=3)
+    other = ri.generate_disk_mesh(2, 2, 32)
+    ri.nd_form_matrix(ri.assemble_system(other, sigma, np.ones(32)), 4)
+    ri.nd_form_matrix(ri.assemble_system(other, sigma, np.full(32, 2.0)), 4)
+    assert calls == [(32, 9), (32, 7), (32, 9)]
+
+
+def test_cached_basis_is_read_only(system_coarse):
+    B = ri.orthonormal_boundary_basis(system_coarse, 4)
+    F = ri.nd_form_matrix(system_coarse, 4)
+    assert F.basis is B
+    assert not B.flags.writeable
+    with pytest.raises(ValueError):
+        B[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        F.basis *= 2.0

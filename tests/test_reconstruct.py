@@ -215,3 +215,12 @@ def test_bfgs_factors_each_candidate_once(mesh_coarse, sigma, monkeypatch):
     assert candidates > len(state.history)  # some line searches halved
     # the start, then each candidate once: the accepted one's gradient reuses its factor
     assert len(calls) == 1 + candidates
+
+
+def test_bfgs_stays_on_the_ring(mesh_coarse, sigma, no_nodal_field):
+    gamma_true = gamma_selector("example1", mesh_coarse.interface_theta)
+    fluxes = flux_set("example1", mesh_coarse.boundary_theta)
+    data = ri.synthesize_data(mesh_coarse, sigma, gamma_true, fluxes)
+    init = np.ones(mesh_coarse.n_interface_nodes)
+    state = ri.bfgs_minimize(mesh_coarse, sigma, data, 0.0, init, ri.BfgsOptions(max_iter=2))
+    assert len(state.history) == 3
