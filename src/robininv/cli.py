@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,7 +44,6 @@ from . import (
     trace_interface,
     verify_stability,
 )
-from .fem import gamma_free_part
 
 EXIT_OK = 0
 EXIT_PARAMETER = 1
@@ -81,10 +81,6 @@ class ExperimentConfig:
     cgne_max_iter: int = 500
     out: str = "out"
 
-    _INT = {"n_r_inner", "n_r_outer", "n_theta", "seed", "max_iter", "partition_m",
-            "n_modes", "cgne_max_iter"}
-    _STR = {"gamma_true", "gamma_init", "fluxes", "flux", "arcs", "out"}
-
 
 def parse_number(text: str, kind, what: str):
     """int(text) or a finite float(text); anything else is a ParameterError."""
@@ -97,9 +93,24 @@ def parse_number(text: str, kind, what: str):
     return value
 
 
+def check_ranges(cfg: ExperimentConfig, where: str) -> None:
+    """Reject a value outside its key's range with a ParameterError naming the key."""
+    rules = (
+        (cfg.eps >= 0, "eps must be >= 0"),
+        (0 <= cfg.seed < 2**64, "seed must be in 0 .. 2**64 - 1"),
+        (cfg.max_iter >= 0, "max_iter must be >= 0"),
+        (cfg.gtol >= 0, "gtol must be >= 0"),
+        (0 < cfg.c0 < cfg.c1, "c0 and c1 must satisfy 0 < c0 < c1"),
+        (0 < cfg.a < cfg.b, "a and b must satisfy 0 < a < b"),
+    )
+    for ok, message in rules:
+        if not ok:
+            raise ParameterError(f"{where}: {message}")
+
+
 def parse_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    known = {f.name for f in fields(cfg) if not f.name.startswith("_")}
+    kinds = get_type_hints(ExperimentConfig)  # key -> int, float or str
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -110,24 +121,18 @@ def parse_config(path: str) -> ExperimentConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "lambda":  # friendlier alias for the regularization weight
                 key = "reg_lambda"
-            if key not in known:
+            if key not in kinds:
                 raise ParameterError(f"{path}:{lineno}: unknown config key '{key}'")
-            if key in ExperimentConfig._STR:
+            if kinds[key] is str:
                 setattr(cfg, key, value)
             else:
-                kind = int if key in ExperimentConfig._INT else float
-                setattr(cfg, key, parse_number(value, kind, f"{path}:{lineno}: {key}"))
-    if cfg.eps < 0:
-        raise ParameterError(f"{path}: eps must be >= 0")
+                setattr(cfg, key, parse_number(value, kinds[key], f"{path}:{lineno}: {key}"))
+    check_ranges(cfg, path)
     return cfg
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    payload = ";".join(
-        f"{f.name}={getattr(cfg, f.name)}"
-        for f in fields(cfg)
-        if not f.name.startswith("_")
-    )
+    payload = ";".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
@@ -360,7 +365,7 @@ def _run_reconstruction(cfg, mesh, sigma, gamma_true, clean, eps, init_name, see
     )
     gamma_init = gamma_selector(init_name, mesh.interface_theta)
     state = bfgs_minimize(mesh, sigma, data, cfg.reg_lambda, gamma_init, opts)
-    mass = gamma_free_part(mesh, sigma).interface_mass
+    mass = mesh.interface_mass
     diff = state.gamma - gamma_true
     return state, np.sqrt((diff @ (mass @ diff)) / (gamma_true @ (mass @ gamma_true)))
 
@@ -457,6 +462,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+            check_ranges(cfg, "--seed")
         out = args.out or cfg.out
         os.makedirs(out, exist_ok=True)
         code = COMMANDS[args.subcommand](cfg, out)

@@ -17,9 +17,10 @@ import scipy.sparse.linalg as spla
 # after scipy.sparse.linalg, which imports it too: imported first, it made the
 # package import about 5 % slower
 import scipy.linalg as la  # isort: skip
+from scipy.linalg.lapack import dpotrf, dpotrs  # isort: skip
 
 from .errors import CoercivityError, NumericalError, ParameterError
-from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec, edge_lengths, triangle_areas
+from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec, triangle_areas
 
 # 2-point Gauss rule on [0, 1]; exact for cubics, hence exact for the
 # product of three piecewise-linear factors on an edge.
@@ -88,20 +89,9 @@ def _gamma_min(mesh: Mesh, gamma) -> float:
     return float(np.asarray(gamma, dtype=float).min())
 
 
-def curve_mass_matrix(mesh: Mesh, edges: np.ndarray, n: int) -> sp.csr_matrix:
-    """1D P1 mass matrix on a closed polygon of n nodes (ring-local indexing)."""
-    length = edge_lengths(mesh, edges)
-    i = np.arange(n)
-    j = (i + 1) % n
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    data = np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-
-
 @dataclass(frozen=True)
 class GammaFreePart:
-    """Everything about K(sigma, gamma) that does not depend on gamma, for one (mesh, sigma).
+    """The condensed stiffness of one (mesh, sigma): it does not depend on gamma.
 
     The nodes split into ring nodes R (the interface nodes, then the boundary
     nodes, each in theta order) and interior nodes I. gamma only touches the
@@ -110,8 +100,6 @@ class GammaFreePart:
     recovers interior values, and K_IR.
     """
 
-    interface_mass: sp.csr_matrix
-    boundary_mass: sp.csr_matrix
     ring: np.ndarray
     interior: np.ndarray
     schur: np.ndarray  # dense (n_R, n_R)
@@ -119,30 +107,20 @@ class GammaFreePart:
     K_IR: sp.csr_matrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseSystem:
-    """Galerkin system K(sigma, gamma), condensed onto the ring nodes.
+    """Galerkin system K(sigma, gamma), condensed onto the ring nodes and factored.
 
-    A = S + C_Gamma(gamma) is the dense matrix of the ring unknowns. The first
-    solve factors it in place and keeps only the Cholesky factor, which every
-    later solve reuses: A is None from then on. A system that is never solved
-    is never factored.
+    factor is the upper Cholesky factor U (U^T U = A) of the dense ring matrix
+    A = S + C_Gamma(gamma) of :func:`condensed_matrix`, built at assembly;
+    every solve reuses it.
     """
 
     mesh: Mesh
     sigma: Conductivity
     gamma: object  # nodal ndarray or ArcwiseGamma
-    A: np.ndarray | None
     part: GammaFreePart = field(repr=False)
-    _cho: tuple | None = field(default=None, repr=False)
-
-    @property
-    def interface_mass(self) -> sp.csr_matrix:
-        return self.part.interface_mass
-
-    @property
-    def boundary_mass(self) -> sp.csr_matrix:
-        return self.part.boundary_mass
+    factor: np.ndarray = field(repr=False)
 
     def gamma_nodal(self) -> np.ndarray:
         """Nodal values on interface nodes (arcwise gamma: lower-index arc wins)."""
@@ -242,8 +220,6 @@ def _condense(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
             span = slice(lo, lo + _SCHUR_BLOCK)
             schur[:, span] -= K_IR.T @ interior_lu.solve(K_IR[:, span].toarray())
     return GammaFreePart(
-        interface_mass=curve_mass_matrix(mesh, mesh.interface_edges, mesh.n_interface_nodes),
-        boundary_mass=curve_mass_matrix(mesh, mesh.boundary_edges, mesh.n_boundary_nodes),
         ring=ring,
         interior=interior,
         schur=schur,
@@ -253,7 +229,7 @@ def _condense(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
 
 
 def gamma_free_part(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
-    """The condensed stiffness and the curve masses: none depends on gamma.
+    """The condensed stiffness of (mesh, sigma), which does not depend on gamma.
 
     Built once per (mesh, sigma) and kept in ``mesh.cache``, so it lives and
     dies with the mesh. Callers must not modify it.
@@ -264,23 +240,34 @@ def gamma_free_part(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
     return part
 
 
-def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
-    """A = S + C_Gamma(gamma) on the ring nodes.
+def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma) -> np.ndarray:
+    """A = S + C_Gamma(gamma), the dense matrix of K(sigma, gamma) on the ring nodes.
 
     Only the cyclic-tridiagonal Robin term C_Gamma depends on gamma.
     """
     if not _gamma_min(mesh, gamma) > 0.0:  # also rejects NaN
         raise CoercivityError("gamma must be bounded below by a positive constant")
-    part = gamma_free_part(mesh, sigma)
     ke = _robin_edge_matrices(mesh, gamma)
     # the interface nodes are the first ring positions; edge e joins e and e + 1
     i = np.arange(mesh.n_interface_nodes)
     j = mesh.interface_next
-    A = part.schur.copy()
+    A = gamma_free_part(mesh, sigma).schur.copy()
     A[i, i] += ke[:, 0, 0] + ke[mesh.interface_prev, 1, 1]
     A[i, j] += ke[:, 0, 1]
     A[j, i] += ke[:, 1, 0]
-    return SparseSystem(mesh=mesh, sigma=sigma, gamma=gamma, A=A, part=part)
+    return A
+
+
+def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
+    """The system of gamma: the Cholesky factor of :func:`condensed_matrix`."""
+    A = condensed_matrix(mesh, sigma, gamma)
+    # A is symmetric, so A.T is the same matrix in Fortran order, which LAPACK
+    # factors in place instead of copying it. A NaN in A may pass the
+    # factorization; the finiteness check of every solve catches it.
+    factor, info = dpotrf(A.T, overwrite_a=True, clean=False)
+    if info != 0:
+        raise NumericalError(f"Cholesky factorization failed: LAPACK dpotrf info {info}")
+    return SparseSystem(mesh, sigma, gamma, gamma_free_part(mesh, sigma), factor)
 
 
 def _solve(system: SparseSystem, b: np.ndarray) -> np.ndarray:
@@ -289,19 +276,9 @@ def _solve(system: SparseSystem, b: np.ndarray) -> np.ndarray:
     No load reaches an interior node, so the ring values come from the
     Cholesky factor of A alone; :func:`nodal_field` recovers the interior.
     """
-    if system._cho is None:
-        if system.A is None:
-            raise NumericalError("Cholesky factorization of this system failed before")
-        # A is symmetric, so A.T is the same matrix in Fortran order, which
-        # LAPACK factors in place instead of copying it; the factor replaces A
-        A, system.A = system.A, None
-        try:
-            system._cho = la.cho_factor(A.T, overwrite_a=True, check_finite=False)
-        except la.LinAlgError as exc:
-            raise NumericalError(f"Cholesky factorization failed: {exc}") from exc
-    x = la.cho_solve(system._cho, b, check_finite=False)
-    if not np.isfinite(x).all():
-        raise NumericalError("linear solve produced non-finite values")
+    x, info = dpotrs(system.factor, b)
+    if info != 0 or not np.isfinite(x).all():
+        raise NumericalError("linear solve failed or produced non-finite values")
     return x
 
 
@@ -329,7 +306,7 @@ def scatter_boundary(system: SparseSystem, g: np.ndarray) -> np.ndarray:
     if len(g) != mesh.n_boundary_nodes:
         raise ParameterError("boundary function length mismatch")
     b = np.zeros((len(system.part.ring),) + g.shape[1:])
-    b[mesh.n_interface_nodes :] = system.boundary_mass @ g
+    b[mesh.n_interface_nodes :] = mesh.boundary_mass @ g
     return b
 
 
@@ -340,7 +317,7 @@ def scatter_interface(system: SparseSystem, f: np.ndarray) -> np.ndarray:
     if len(f) != mesh.n_interface_nodes:
         raise ParameterError("interface function length mismatch")
     b = np.zeros((len(system.part.ring),) + f.shape[1:])
-    b[: mesh.n_interface_nodes] = system.interface_mass @ f
+    b[: mesh.n_interface_nodes] = mesh.interface_mass @ f
     return b
 
 
@@ -389,12 +366,12 @@ def _curve_l2(M: sp.csr_matrix, f1, f2) -> float:
 
 def interface_l2(system: SparseSystem, f1, f2) -> float:
     """Discrete L2(Gamma) inner product (exact for piecewise-linear factors)."""
-    return _curve_l2(system.interface_mass, f1, f2)
+    return _curve_l2(system.mesh.interface_mass, f1, f2)
 
 
 def boundary_l2(system: SparseSystem, g1, g2) -> float:
     """Discrete L2(dOmega) inner product."""
-    return _curve_l2(system.boundary_mass, g1, g2)
+    return _curve_l2(system.mesh.boundary_mass, g1, g2)
 
 
 def interface_norm(system: SparseSystem, f) -> float:

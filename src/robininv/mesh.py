@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ParameterError
 
@@ -36,6 +37,8 @@ class Mesh:
     interface_edges / boundary_edges: (E, 2) index pairs; edge e connects ring
         position e to position (e + 1) % E.
     h: maximum edge length.
+    interface_mass / boundary_mass: P1 mass matrices of L2(Gamma) and
+        L2(dOmega) in ring positions, built on first use.
     cache: filled on first use, it lives and dies with the mesh. Per
         conductivity, ``fem`` keeps the gamma-free part of the Galerkin
         system: the Schur complement on the ring (interface and boundary)
@@ -82,6 +85,14 @@ class Mesh:
     def interface_edge_lengths(self) -> np.ndarray:
         """Length of every interface edge, computed once per mesh."""
         return edge_lengths(self, self.interface_edges)
+
+    @cached_property
+    def interface_mass(self) -> sp.csr_matrix:
+        return _curve_mass(self.interface_edge_lengths)
+
+    @cached_property
+    def boundary_mass(self) -> sp.csr_matrix:
+        return _curve_mass(edge_lengths(self, self.boundary_edges))
 
     @cached_property
     def interface_next(self) -> np.ndarray:
@@ -222,6 +233,17 @@ def triangle_areas(mesh: Mesh) -> np.ndarray:
 def edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
     d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
     return np.linalg.norm(d, axis=1)
+
+
+def _curve_mass(length: np.ndarray) -> sp.csr_matrix:
+    """1D P1 mass matrix of a closed polygon whose edge e joins ring positions e and e + 1."""
+    n = len(length)
+    i = np.arange(n)
+    j = (i + 1) % n
+    rows = np.concatenate([i, j, i, j])
+    cols = np.concatenate([i, j, j, i])
+    data = np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0])
+    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def _max_edge_length(nodes: np.ndarray, triangles: np.ndarray) -> float:

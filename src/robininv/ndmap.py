@@ -75,7 +75,7 @@ def orthonormal_boundary_basis(system: SparseSystem, n_modes: int) -> np.ndarray
     key = ("nd_basis", n_modes)
     basis = mesh.cache.get(key)
     if basis is None:
-        basis = _orthonormalize(raw_trig_basis(mesh.boundary_theta, n_modes), system.boundary_mass)
+        basis = _orthonormalize(raw_trig_basis(mesh.boundary_theta, n_modes), mesh.boundary_mass)
         basis.flags.writeable = False
         mesh.cache[key] = basis
     return basis
@@ -87,7 +87,7 @@ def nd_form_matrix(system: SparseSystem, n_modes: int) -> NdForm:
     if n_modes < 1:
         raise ParameterError("n_modes must be >= 1")
     B = orthonormal_boundary_basis(system, n_modes)
-    M = system.boundary_mass
+    M = system.mesh.boundary_mass
     return NdForm(n_modes=n_modes, basis=B, matrix=B.T @ (M @ apply_nd(system, B)))
 
 

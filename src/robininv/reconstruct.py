@@ -20,7 +20,6 @@ from .fem import (
     Conductivity,
     SparseSystem,
     assemble_system,
-    gamma_free_part,
     interface_fn_at_quadrature,
     interface_l2,
     solve_adjoint,
@@ -29,6 +28,10 @@ from .fem import (
     trace_interface,
 )
 from .mesh import Mesh
+
+GTOL_REL = 1e-8  # default gtol, relative to the initial gradient norm
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
+MAX_HALVINGS = 40  # step halvings before a line search fails
 
 
 @dataclass
@@ -47,19 +50,15 @@ class DataSet:
 
 @dataclass
 class BfgsOptions:
-    gtol: float | None = None  # absolute; default 1e-8 * initial grad norm
-    gtol_rel: float = 1e-8
+    gtol: float | None = None  # absolute; default GTOL_REL * initial grad norm
     max_iter: int = 200
     c0: float = 1e-3
     c1: float = 10.0
-    armijo_c: float = 1e-4
-    max_halvings: int = 40
 
 
 @dataclass
 class BfgsState:
     gamma: np.ndarray
-    H: np.ndarray
     history: list = field(default_factory=list)  # (J, grad_inf, step)
     status: str = "max_iter"  # converged | max_iter | line_search_failure
 
@@ -87,7 +86,7 @@ def _misfit(system: SparseSystem, data: DataSet, lam: float):
     """
     states = solve_forward(system, np.column_stack(data.fluxes))
     residuals = trace_boundary(system.mesh, states) - np.column_stack(data.measurements)
-    J_data = 0.5 * float(np.sum(residuals * (system.boundary_mass @ residuals)))
+    J_data = 0.5 * float(np.sum(residuals * (system.mesh.boundary_mass @ residuals)))
     gamma = np.asarray(system.gamma, dtype=float)
     return J_data + 0.5 * lam * interface_l2(system, gamma, gamma), states, residuals
 
@@ -104,7 +103,12 @@ def _covector(system: SparseSystem, states, residuals, lam: float) -> np.ndarray
     # its first node e and its second node e + 1
     contrib = uvw @ GAUSS_SHAPE.T  # (E, local node)
     covector = contrib[:, 0] + contrib[mesh.interface_prev, 1]
-    return covector + lam * (system.interface_mass @ np.asarray(system.gamma, dtype=float))
+    return covector + lam * (mesh.interface_mass @ np.asarray(system.gamma, dtype=float))
+
+
+def _riesz_map(mesh: Mesh):
+    """covector -> its Riesz representer in the L2(Gamma) inner product (interface mass solve)."""
+    return spla.splu(mesh.interface_mass.tocsc()).solve
 
 
 def cost(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float = 0.0) -> float:
@@ -115,8 +119,7 @@ def gradient(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float =
     """Riesz representer of the cost derivative in the interface mass inner product."""
     system = assemble_system(mesh, sigma, gamma)
     _, states, residuals = _misfit(system, data, lam)
-    covector = _covector(system, states, residuals, lam)
-    return spla.spsolve(system.interface_mass.tocsc(), covector)
+    return _riesz_map(mesh)(_covector(system, states, residuals, lam))
 
 
 def bfgs_minimize(
@@ -141,7 +144,7 @@ def bfgs_minimize(
         raise ParameterError("gamma_init violates the admissible bounds")
 
     n = len(x)
-    mass_lu = spla.splu(gamma_free_part(mesh, sigma).interface_mass.tocsc())
+    riesz = _riesz_map(mesh)
 
     def evaluate(gamma):
         """Cost of gamma, and the system, states and residuals its gradient reuses."""
@@ -152,15 +155,15 @@ def bfgs_minimize(
     def gradient_at(evaluation):
         """Covector and representer: one adjoint solve on the evaluated system."""
         covector = _covector(*evaluation, lam)
-        return covector, mass_lu.solve(covector)
+        return covector, riesz(covector)
 
     J, evaluation = evaluate(x)
     grad, rep = gradient_at(evaluation)
     del evaluation  # no factor is kept alive while the next line search runs
     grad_inf = float(np.abs(rep).max())
-    gtol = opts.gtol if opts.gtol is not None else opts.gtol_rel * grad_inf
+    gtol = opts.gtol if opts.gtol is not None else GTOL_REL * grad_inf
     H = np.eye(n)
-    state = BfgsState(gamma=x, H=H, history=[(J, grad_inf, 0.0)])
+    state = BfgsState(gamma=x, history=[(J, grad_inf, 0.0)])
 
     for _ in range(opts.max_iter):
         if grad_inf <= gtol:
@@ -174,10 +177,10 @@ def bfgs_minimize(
             slope = float(grad @ d)
         step = 1.0
         accepted = False
-        for _halving in range(opts.max_halvings + 1):
+        for _halving in range(MAX_HALVINGS + 1):
             cand = np.clip(x + step * d, opts.c0, opts.c1)
             J_cand, evaluation = evaluate(cand)
-            if J_cand <= J + opts.armijo_c * step * slope:
+            if J_cand <= J + ARMIJO_C * step * slope:
                 accepted = True
                 break
             step *= 0.5
@@ -196,7 +199,6 @@ def bfgs_minimize(
         x, J, grad, rep = cand, J_cand, grad_new, rep_new
         grad_inf = float(np.abs(rep).max())
         state.gamma = x
-        state.H = H
         state.history.append((J, grad_inf, step))
 
     if grad_inf <= gtol:

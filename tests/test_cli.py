@@ -190,3 +190,29 @@ def test_bad_eps_rejected(tmp_path, value):
     with pytest.raises(ri.ParameterError, match="eps"):
         cli.parse_config(cfg)
     assert cli.main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["seed = -1", f"seed = {2**64}", "max_iter = -3", "gtol = -1e-6",
+     "c0 = 0", "c1 = 1e-4", "a = -1", "b = 0.5"],
+)
+def test_out_of_range_config_values_exit_1(tmp_path, line):
+    key = line.split()[0]
+    cfg = write_config(tmp_path, COARSE + "eps = 0.01\n" + line + "\n")
+    with pytest.raises(ri.ParameterError, match=rf"\b{key} (and|must)\b"):
+        cli.parse_config(cfg)
+    assert cli.main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_out_of_range_seed_flag_exit_1(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, COARSE + "eps = 0.01\n")
+    out = str(tmp_path / "out")
+    assert cli.main(["reconstruct", "--config", cfg, "--out", out, "--seed", seed]) == 1
+    assert "--seed: seed must be" in capsys.readouterr().err
+
+
+def test_range_bounds_accepted(tmp_path):
+    cfg = cli.parse_config(write_config(tmp_path, f"seed = {2**64 - 1}\nmax_iter = 0\ngtol = 0\n"))
+    assert (cfg.seed, cfg.max_iter, cfg.gtol) == (2**64 - 1, 0, 0.0)

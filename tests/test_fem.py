@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 import robininv as ri
 from robininv import cli, fem
-from robininv.fem import curve_mass_matrix, interface_form_matrix, stiffness_matrix
+from robininv.fem import condensed_matrix, interface_form_matrix, stiffness_matrix
 
 
 def test_assembly_symmetric_and_split(mesh_coarse):
     sigma_unit = ri.Conductivity(1.0, 1.0)
     ones = np.ones(mesh_coarse.n_interface_nodes)
-    A = ri.assemble_system(mesh_coarse, sigma_unit, ones).A
+    A = condensed_matrix(mesh_coarse, sigma_unit, ones)
     assert A.shape == (2 * mesh_coarse.n_interface_nodes,) * 2  # interface then boundary
     assert np.abs(A - A.T).max() <= 1e-14 * np.abs(A).max()
 
@@ -22,8 +22,8 @@ def test_assembly_symmetric_and_split(mesh_coarse):
 def test_gamma_enters_linearly(mesh_coarse, sigma):
     # only the interface block of A depends on gamma, through the Robin term
     ones = np.ones(mesh_coarse.n_interface_nodes)
-    A1 = ri.assemble_system(mesh_coarse, sigma, ones).A
-    A2 = ri.assemble_system(mesh_coarse, sigma, 2.0 * ones).A
+    A1 = condensed_matrix(mesh_coarse, sigma, ones)
+    A2 = condensed_matrix(mesh_coarse, sigma, 2.0 * ones)
     gamma_nodes = mesh_coarse.interface_nodes
     robin = interface_form_matrix(mesh_coarse, ones)[gamma_nodes][:, gamma_nodes].toarray()
     expected = np.zeros_like(A1)
@@ -33,8 +33,8 @@ def test_gamma_enters_linearly(mesh_coarse, sigma):
 
 def test_system_positive_definite(sigma):
     mesh = ri.generate_disk_mesh(2, 2, 16)
-    system = ri.assemble_system(mesh, sigma, np.ones(mesh.n_interface_nodes))
-    assert np.linalg.eigvalsh(system.A).min() > 0
+    A = condensed_matrix(mesh, sigma, np.ones(mesh.n_interface_nodes))
+    assert np.linalg.eigvalsh(A).min() > 0
 
 
 def test_nonpositive_gamma_rejected(mesh_coarse, sigma):
@@ -199,9 +199,12 @@ def test_oracle_invalid_inputs(sigma):
 
 
 def test_curve_mass_matrix_row_sums(mesh_coarse):
-    M = curve_mass_matrix(mesh_coarse, mesh_coarse.boundary_edges, mesh_coarse.n_boundary_nodes)
-    perimeter = M.sum()
+    perimeter = mesh_coarse.boundary_mass.sum()
     assert perimeter == pytest.approx(32 * 2 * np.sin(np.pi / 32), abs=1e-12)
+    # the interface mass is the Robin form of gamma = 1, which Gauss integrates exactly
+    nodes = mesh_coarse.interface_nodes
+    robin = interface_form_matrix(mesh_coarse, np.ones(len(nodes)))[nodes][:, nodes]
+    assert abs(mesh_coarse.interface_mass - robin).max() <= 1e-15
 
 
 def _spy(monkeypatch, module, name):
@@ -219,7 +222,7 @@ def _spy(monkeypatch, module, name):
 
 def _spy_on_factorizations(monkeypatch):
     """Sparse LU and dense Cholesky factorizations done through robininv.fem."""
-    return _spy(monkeypatch, fem.spla, "splu"), _spy(monkeypatch, fem.la, "cho_factor")
+    return _spy(monkeypatch, fem.spla, "splu"), _spy(monkeypatch, fem, "dpotrf")
 
 
 def test_many_solves_factor_once(sigma, monkeypatch):
@@ -242,16 +245,16 @@ def test_many_solves_factor_once(sigma, monkeypatch):
     assert sparse == [(n_int, n_int)]
 
 
-def test_unsolved_system_never_factored(sigma, monkeypatch):
+def test_masses_need_no_system(sigma, monkeypatch):
     mesh = ri.generate_disk_mesh(2, 2, 32)
     sparse, dense = _spy_on_factorizations(monkeypatch)
-    system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 2.0))
-    ones = np.ones(mesh.n_boundary_nodes)
-    assert ri.boundary_l2(system, ones, ones) > 0
-    assert ri.interface_norm(system, np.ones(mesh.n_interface_nodes)) > 0
-    assert dense == []
-    # the reference system of lipschitz_constant is only read for its boundary
-    # mass: one factorization per (k, m) system and none for the reference
+    for M in (mesh.interface_mass, mesh.boundary_mass):
+        ones = np.ones(M.shape[0])
+        assert ones @ (M @ ones) > 0
+    assert mesh.boundary_mass is mesh.boundary_mass  # built once per mesh
+    assert mesh.cache == {} and sparse == [] and dense == []  # nothing condensed or factored
+    # lipschitz_constant reads the boundary mass from the mesh: one
+    # factorization per (k, m) system and no other
     part = ri.interface_partition(mesh, 2)
     report = ri.lipschitz_constant(mesh, sigma, 1.0, 1.2, part)
     assert len(dense) == len(report.entries) == 2
@@ -283,9 +286,9 @@ def test_condensed_solve_matches_full_sparse_solve(rung, sigma):
         system = ri.assemble_system(mesh, sigma, gamma)
         K = (stiffness_matrix(mesh, sigma) + interface_form_matrix(mesh, gamma)).tocsc()
         b_boundary = np.zeros((mesh.n_nodes, G.shape[1]))
-        b_boundary[mesh.boundary_nodes] = system.boundary_mass @ G
+        b_boundary[mesh.boundary_nodes] = mesh.boundary_mass @ G
         b_interface = np.zeros((mesh.n_nodes, F.shape[1]))
-        b_interface[mesh.interface_nodes] = system.interface_mass @ F
+        b_interface[mesh.interface_nodes] = mesh.interface_mass @ F
         for x, b in (
             (ri.solve_forward(system, G), b_boundary),
             (ri.solve_adjoint(system, G), -b_boundary),
@@ -314,31 +317,39 @@ def test_condensed_solve_matches_full_sparse_solve_property(
     system = ri.assemble_system(mesh, sigma, gamma)
     K = (stiffness_matrix(mesh, sigma) + interface_form_matrix(mesh, gamma)).tocsc()
     b = np.zeros(mesh.n_nodes)
-    b[mesh.boundary_nodes] = system.boundary_mass @ g
+    b[mesh.boundary_nodes] = mesh.boundary_mass @ g
     ref = spla.spsolve(K, b)
     x = ri.nodal_field(system, ri.solve_forward(system, g))
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def test_nan_matrix_raises_numerical_error(sigma):
+def _poison_condensed_matrix(monkeypatch, poison):
+    """Make fem.condensed_matrix return its matrix with A[0, 0] = poison."""
+    real = fem.condensed_matrix
+
+    def poisoned(*args):
+        A = real(*args)
+        A[0, 0] = poison
+        return A
+
+    monkeypatch.setattr(fem, "condensed_matrix", poisoned)
+
+
+def test_nan_matrix_raises_numerical_error(sigma, monkeypatch):
     mesh = ri.generate_disk_mesh(2, 2, 32)
+    gamma = np.full(mesh.n_interface_nodes, 2.0)
     g = np.cos(mesh.boundary_theta)
-    for poison in (np.nan, -1.0):  # non-finite, and not positive definite
-        system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 2.0))
-        system.A[0, 0] = poison
+    _poison_condensed_matrix(monkeypatch, -1.0)  # not positive definite
+    with pytest.raises(ri.NumericalError):
+        ri.assemble_system(mesh, sigma, gamma)
+    _poison_condensed_matrix(monkeypatch, np.nan)
+    try:
+        system = ri.assemble_system(mesh, sigma, gamma)
+    except ri.NumericalError:
+        return  # LAPACK saw the NaN while factoring
+    for _ in range(2):  # LAPACK factored through the NaN: no solve succeeds
         with pytest.raises(ri.NumericalError):
             ri.solve_forward(system, g)
-        with pytest.raises(ri.NumericalError):  # the half-factored matrix is not reused
-            ri.solve_forward(system, g)
-
-
-def test_first_solve_consumes_the_matrix(system_coarse):
-    mesh = system_coarse.mesh
-    system = ri.assemble_system(mesh, system_coarse.sigma, system_coarse.gamma)
-    assert system.A is not None
-    u = ri.solve_forward(system, np.cos(mesh.boundary_theta))
-    assert system.A is None  # the Cholesky factor took its place
-    assert np.array_equal(ri.solve_forward(system, np.cos(mesh.boundary_theta)), u)
 
 
 def test_non_finite_solution_raises_numerical_error(system_coarse):
@@ -349,12 +360,7 @@ def test_non_finite_solution_raises_numerical_error(system_coarse):
 
 
 def test_cli_maps_numerical_error_to_exit_2(tmp_path, monkeypatch):
-    def poisoned(mesh, sigma, gamma):
-        system = ri.assemble_system(mesh, sigma, gamma)
-        system.A[:] = np.nan
-        return system
-
-    monkeypatch.setattr(cli, "assemble_system", poisoned)
+    _poison_condensed_matrix(monkeypatch, np.nan)
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("n_r_inner = 2\nn_r_outer = 2\nn_theta = 32\n")
     assert cli.main(["forward", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -374,14 +380,14 @@ def test_cached_gamma_free_part_matches_fresh_assembly(sigma):
     theta = mesh.interface_theta
     ri.assemble_system(mesh, sigma, np.ones(mesh.n_interface_nodes))  # fills the cache
     for gamma in (1.0 + 0.5 * np.cos(theta), np.exp(np.sin(2 * theta))):
-        A = ri.assemble_system(mesh, sigma, gamma).A
+        A = condensed_matrix(mesh, sigma, gamma)
         K = stiffness_matrix(mesh, sigma) + interface_form_matrix(mesh, gamma)
         fresh = _dense_schur(mesh, K)
         assert np.abs(A - fresh).max() <= 1e-13 * np.abs(fresh).max()
     assert list(mesh.cache) == [sigma]
     other = ri.Conductivity(1.0, 3.0)
     ones = np.ones(len(theta))
-    A = ri.assemble_system(mesh, other, ones).A
+    A = condensed_matrix(mesh, other, ones)
     fresh = _dense_schur(mesh, stiffness_matrix(mesh, other) + interface_form_matrix(mesh, ones))
     assert np.abs(A - fresh).max() <= 1e-13 * np.abs(fresh).max()
     assert len(mesh.cache) == 2
@@ -402,7 +408,7 @@ def test_schur_without_rotational_symmetry_matches_dense(sigma, tmp_path):
     for other in (moved, loaded):
         K = stiffness_matrix(other, sigma)
         assert not fem._turns_onto_itself(other, K)
-        A = ri.assemble_system(other, sigma, gamma).A
+        A = condensed_matrix(other, sigma, gamma)
         fresh = _dense_schur(other, K + interface_form_matrix(other, gamma))
         assert np.abs(A - fresh).max() <= 1e-13 * np.abs(fresh).max()
 

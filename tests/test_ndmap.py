@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robininv as ri
 from robininv import ndmap
@@ -40,7 +44,7 @@ def test_self_adjointness(system_coarse):
 
 def test_basis_orthonormal(system_mid):
     B = ri.orthonormal_boundary_basis(system_mid, 8)
-    gram = B.T @ (system_mid.boundary_mass @ B)
+    gram = B.T @ (system_mid.mesh.boundary_mass @ B)
     assert np.abs(gram - np.eye(17)).max() < 1e-10
 
 
@@ -237,3 +241,49 @@ def test_cached_basis_is_read_only(system_coarse):
         B[0, 0] = 1.0
     with pytest.raises(ValueError):
         F.basis *= 2.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n_r_inner=st.integers(1, 3),
+    n_r_outer=st.integers(1, 3),
+    half_theta=st.integers(4, 12),
+    moved=st.booleans(),
+    arcwise=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_discrete_identities_property(n_r_inner, n_r_outer, half_theta, moved, arcwise, seed):
+    mesh = ri.generate_disk_mesh(n_r_inner, n_r_outer, 2 * half_theta)
+    if moved:  # no longer rotation invariant: S comes from interior solves by column block
+        nodes = mesh.nodes.copy()
+        nodes[0] += 1e-3  # the center
+        mesh = dataclasses.replace(mesh, nodes=nodes)
+    rng = np.random.default_rng(seed)
+    sigma = ri.Conductivity(*rng.uniform(0.2, 5.0, size=2))
+    if arcwise:
+        part = ri.interface_partition(mesh, int(rng.integers(1, 9)))
+        n_values, as_gamma = part.n_arcs, lambda v: ri.ArcwiseGamma(part, v)
+    else:
+        n_values, as_gamma = mesh.n_interface_nodes, lambda v: v
+    v1 = rng.uniform(0.05, 10.0, n_values)
+    v2 = v1 + rng.uniform(0.0, 5.0, n_values)  # gamma1 <= gamma2
+    s1 = ri.assemble_system(mesh, sigma, as_gamma(v1))
+    s2 = ri.assemble_system(mesh, sigma, as_gamma(v2))
+    nb = mesh.n_boundary_nodes
+    g, h = rng.standard_normal((2, nb))
+
+    # <h, Lambda g> = <g, Lambda h>, relative to the Cauchy-Schwarz bound of
+    # both sides, so random currents whose pairing cancels do not divide
+    # rounding by rounding
+    Lg, Lh = ri.apply_nd(s1, g), ri.apply_nd(s1, h)
+    lhs, rhs = ri.boundary_l2(s1, h, Lg), ri.boundary_l2(s1, g, Lh)
+    scale = max(
+        ri.boundary_norm(s1, h) * ri.boundary_norm(s1, Lg),
+        ri.boundary_norm(s1, g) * ri.boundary_norm(s1, Lh),
+    )
+    assert abs(lhs - rhs) <= 1e-10 * scale
+    assert ri.alessandrini_residual(s1, s2, g, h) <= 1e-10
+    n_modes = min(10, (nb - 1) // 2)
+    F1 = ri.nd_form_matrix(s1, n_modes)
+    scale = np.abs(np.linalg.eigvalsh(0.5 * (F1.matrix + F1.matrix.T))).max()
+    assert ri.check_monotonicity(s1, s2, n_modes) >= -1e-8 * scale

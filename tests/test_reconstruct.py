@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import robininv as ri
-from robininv import fem
+from robininv import fem, reconstruct
 from robininv.cli import flux_set, gamma_selector
 
 
@@ -198,20 +198,20 @@ def test_bfgs_factors_each_candidate_once(mesh_coarse, sigma, monkeypatch):
     data = ri.add_noise(ri.synthesize_data(mesh_coarse, sigma, gamma_true, fluxes), 0.1, seed=3)
     init = np.ones(mesh_coarse.n_interface_nodes)
     calls = []
-    real = fem.la.cho_factor
+    real = fem.dpotrf
 
     def spy(*args, **kwargs):
         calls.append(args[0].shape)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fem.la, "cho_factor", spy)
+    monkeypatch.setattr(fem, "dpotrf", spy)
     opts = ri.BfgsOptions(max_iter=40)
     state = ri.bfgs_minimize(mesh_coarse, sigma, data, 0.0, init, opts)
     # an accepted step 0.5**h was the (h + 1)-th line-search candidate; a
-    # failed line search tried max_halvings + 1 of them
+    # failed line search tried MAX_HALVINGS + 1 of them
     candidates = sum(round(-np.log2(step)) + 1 for _, _, step in state.history[1:])
     if state.status == "line_search_failure":
-        candidates += opts.max_halvings + 1
+        candidates += reconstruct.MAX_HALVINGS + 1
     assert candidates > len(state.history)  # some line searches halved
     # the start, then each candidate once: the accepted one's gradient reuses its factor
     assert len(calls) == 1 + candidates
