@@ -102,6 +102,11 @@ def check_ranges(cfg: ExperimentConfig, where: str) -> None:
         (cfg.gtol >= 0, "gtol must be >= 0"),
         (0 < cfg.c0 < cfg.c1, "c0 and c1 must satisfy 0 < c0 < c1"),
         (0 < cfg.a < cfg.b, "a and b must satisfy 0 < a < b"),
+        (cfg.n_r_inner >= 1 and cfg.n_r_outer >= 1, "n_r_inner and n_r_outer must be >= 1"),
+        (cfg.n_theta >= 8 and cfg.n_theta % 2 == 0, "n_theta must be even and >= 8"),
+        (cfg.n_modes >= 1, "n_modes must be >= 1"),
+        # the interface of a generated mesh has n_theta edges
+        (1 <= cfg.partition_m <= cfg.n_theta, "partition_m must be in 1 .. n_theta"),
     )
     for ok, message in rules:
         if not ok:
@@ -171,9 +176,17 @@ def flux_set(name: str, theta: np.ndarray) -> list:
 
 
 def write_csv(path, header, rows, cfg: ExperimentConfig) -> None:
+    """Floats as %.17g, anything else as str(value); one row format per row of value types."""
     lines = [f"# config={config_hash(cfg)} seed={cfg.seed}", ",".join(header)]
+    formats = {}
     for row in rows:
-        lines.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(
+                "%.17g" if issubclass(kind, float) else "%s" for kind in kinds
+            )
+        lines.append(fmt % tuple(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

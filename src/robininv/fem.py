@@ -4,23 +4,24 @@ The bilinear form is a(u, w) = int_Omega sigma grad u . grad w dx
 + int_Gamma gamma u w ds; loads live on the outer boundary (applied
 current), on the outer boundary with a minus sign (adjoint), or on the
 interface (source used by the Runge/localized-potential machinery).
+
+Once per (mesh, sigma) the stiffness is condensed onto the interface nodes;
+each gamma then adds its Robin term to that small dense matrix. On a mesh
+that one theta step maps onto itself, as every mesh from
+``generate_disk_mesh`` is, the condensation is a Fourier transform in theta
+and needs numpy only. Other meshes factor their sparse interior with scipy.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-
-# after scipy.sparse.linalg, which imports it too: imported first, it made the
-# package import about 5 % slower
-import scipy.linalg as la  # isort: skip
-from scipy.linalg.lapack import dpotrf, dpotrs  # isort: skip
+from numpy.linalg import LinAlgError, cholesky
 
 from .errors import CoercivityError, NumericalError, ParameterError
-from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec, triangle_areas
+from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec
 
 # 2-point Gauss rule on [0, 1]; exact for cubics, hence exact for the
 # product of three piecewise-linear factors on an edge.
@@ -33,9 +34,9 @@ _SHAPE_PRODUCTS = np.einsum("iq,jq->qij", GAUSS_SHAPE, GAUSS_SHAPE).reshape(2, 4
 # ring columns per interior solve when forming S on a mesh without rotational
 # symmetry: a 32-column block of K_II^-1 K_IR takes 98 KB on (4,4,64)
 _SCHUR_BLOCK = 32
-# largest entry of K(turned mesh) - K, relative to the largest entry of K, at
-# which the stiffness still counts as rotation invariant; rounding leaves
-# 3e-15 on (2,2,32) and 2e-14 on (16,16,256)
+# largest distance, relative to the largest node radius, between a turned node
+# and the node it should land on at which a mesh still turns onto itself;
+# rounding leaves about 2e-16
 _ROTATION_RTOL = 1e-12
 
 
@@ -91,36 +92,37 @@ def _gamma_min(mesh: Mesh, gamma) -> float:
 
 @dataclass(frozen=True)
 class GammaFreePart:
-    """The condensed stiffness of one (mesh, sigma): it does not depend on gamma.
+    """The stiffness of one (mesh, sigma) condensed onto the interface: it does not depend on gamma.
 
-    The nodes split into ring nodes R (the interface nodes, then the boundary
-    nodes, each in theta order) and interior nodes I. gamma only touches the
-    interface block of K_RR, so every gamma shares the Schur complement
-    S = K_RR - K_RI K_II^-1 K_IR of the stiffness, the factor of K_II that
-    recovers interior values, and K_IR.
+    The ring nodes R are the interface nodes G, then the boundary nodes B,
+    each in theta order; the interior nodes I are the others, in node order.
+    gamma only touches the G block of the Schur complement
+    S = K_RR - K_RI K_II^-1 K_IR of the stiffness, so every gamma shares the
+    elimination of B from S: T = S_GG - S_GB S_BB^-1 S_BG, W = S_BB^-1 S_BG
+    and S_BB^-1. ``interior`` maps ring values x_R to the interior values
+    x_I = -K_II^-1 K_IR x_R.
     """
 
-    ring: np.ndarray
-    interior: np.ndarray
-    schur: np.ndarray  # dense (n_R, n_R)
-    interior_lu: spla.SuperLU
-    K_IR: sp.csr_matrix
+    T: np.ndarray  # dense (n_G, n_G)
+    W: np.ndarray  # dense (n_B, n_G)
+    S_BB_inv: np.ndarray  # dense (n_B, n_B)
+    interior: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Galerkin system K(sigma, gamma), condensed onto the ring nodes and factored.
+    """Galerkin system K(sigma, gamma), condensed onto the interface nodes.
 
-    factor is the upper Cholesky factor U (U^T U = A) of the dense ring matrix
-    A = S + C_Gamma(gamma) of :func:`condensed_matrix`, built at assembly;
-    every solve reuses it.
+    matrix is A = T + C_Gamma(gamma) of :func:`condensed_matrix`, checked
+    positive definite at assembly; every solve solves with it and recovers
+    the boundary values through W and S_BB^-1.
     """
 
     mesh: Mesh
     sigma: Conductivity
     gamma: object  # nodal ndarray or ArcwiseGamma
     part: GammaFreePart = field(repr=False)
-    factor: np.ndarray = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
 
     def gamma_nodal(self) -> np.ndarray:
         """Nodal values on interface nodes (arcwise gamma: lower-index arc wins)."""
@@ -129,29 +131,27 @@ class SparseSystem:
         return np.asarray(self.gamma, dtype=float)
 
 
-def stiffness_matrix(mesh: Mesh, sigma: Conductivity) -> sp.csr_matrix:
-    """Element-exact P1 stiffness with per-region conductivity."""
-    tri = mesh.triangles
-    p = mesh.nodes[tri]
-    area = triangle_areas(mesh)
-    if (area <= 0).any():
-        raise ParameterError("mesh has non-positively oriented triangles")
-    # gradients of barycentric shape functions
+def element_stiffness(mesh: Mesh, sigma: Conductivity, triangles=slice(None)) -> np.ndarray:
+    """ke[t, i, j] = int_t sigma grad N_i . grad N_j dx of the chosen triangles: (T, 3, 3).
+
+    Element-exact P1 with per-region conductivity.
+    """
+    p = mesh.nodes[mesh.triangles[triangles]]
+    # gradients of barycentric shape functions, times twice the area
     b = np.stack(
         [p[:, 1, 1] - p[:, 2, 1], p[:, 2, 1] - p[:, 0, 1], p[:, 0, 1] - p[:, 1, 1]], axis=1
     )
     c = np.stack(
         [p[:, 2, 0] - p[:, 1, 0], p[:, 0, 0] - p[:, 2, 0], p[:, 1, 0] - p[:, 0, 0]], axis=1
     )
-    coef = np.where(mesh.regions == 1, sigma.sigma1, sigma.sigma2) / (4.0 * area)
-    ke = coef[:, None, None] * (
+    area = 0.5 * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
+    if (area <= 0).any():
+        raise ParameterError("mesh has non-positively oriented triangles")
+    region = mesh.regions[triangles]
+    coef = np.where(region == 1, sigma.sigma1, sigma.sigma2) / (4.0 * area)
+    return coef[:, None, None] * (
         b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
     )
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    K = sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-    K.sum_duplicates()
-    return K
 
 
 def _robin_edge_matrices(mesh: Mesh, gamma) -> np.ndarray:
@@ -160,34 +160,113 @@ def _robin_edge_matrices(mesh: Mesh, gamma) -> np.ndarray:
     return (wq @ _SHAPE_PRODUCTS).reshape(-1, 2, 2)
 
 
-def interface_form_matrix(mesh: Mesh, gamma) -> sp.csr_matrix:
-    """Matrix of int_Gamma gamma u w ds on global node indices (2-pt Gauss)."""
-    edges = mesh.interface_edges
-    ke = _robin_edge_matrices(mesh, gamma)
-    rows = np.repeat(edges, 2, axis=1).ravel()
-    cols = np.tile(edges, (1, 2)).ravel()
-    C = sp.csr_matrix((ke.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
-    C.sum_duplicates()
-    return C
+def _layout_ring(nodes: np.ndarray, n_theta: int) -> int | None:
+    """Index j >= 1 of the node ring 1 + (j - 1) n_theta + (0, 1, ...) that nodes is, or None."""
+    ring, position = np.divmod(nodes - 1, n_theta)
+    if len(nodes) != n_theta or nodes.min() < 1 or (ring != ring[0]).any():
+        return None
+    return int(ring[0]) + 1 if np.array_equal(position, np.arange(n_theta)) else None
 
 
-def _turns_onto_itself(mesh: Mesh, K: sp.csr_matrix) -> bool:
-    """Whether one theta step shifts both rings by one position and leaves K unchanged.
+def _triangle_keys(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
+    t = np.sort(triangles, axis=1)
+    return (t[:, 0] * n_nodes + t[:, 1]) * n_nodes + t[:, 2]
 
-    Both rings then have the same number of nodes.
+
+def _theta_wedge(mesh: Mesh) -> np.ndarray | None:
+    """The triangles of one theta wedge, if one theta step maps the mesh onto itself; else None.
+
+    The mesh must have the node layout of :func:`generate_disk_mesh` (the
+    center, then whole rings of n_theta nodes in theta order): turned by
+    2 pi / n_theta, the nodes must land on ``nodes[theta_step]``, the
+    triangles and their regions must map onto themselves, and the interface
+    and the boundary must each be one whole ring. The wedge holds the
+    triangles whose ring nodes sit at theta positions 0 and 1; turning it
+    n_theta times must give every triangle once.
     """
     step = mesh.theta_step
     if step is None:
-        return False
-    for nodes in (mesh.interface_nodes, mesh.boundary_nodes):
-        if not np.array_equal(step[nodes], np.roll(nodes, -1)):
-            return False
-    return abs(K[step][:, step] - K).max() <= _ROTATION_RTOL * abs(K).max()
+        return None
+    n = mesh.params[2]
+    if (mesh.n_nodes - 1) % n or any(
+        _layout_ring(nodes, n) is None for nodes in (mesh.interface_nodes, mesh.boundary_nodes)
+    ):
+        return None
+    cos, sin = np.cos(2.0 * np.pi / n), np.sin(2.0 * np.pi / n)
+    turned = mesh.nodes @ np.array([[cos, sin], [-sin, cos]])
+    scale = np.abs(mesh.nodes).max()
+    if np.abs(turned - mesh.nodes[step]).max() > _ROTATION_RTOL * scale:
+        return None
+    keys = _triangle_keys(mesh.triangles, mesh.n_nodes)
+    turned_keys = _triangle_keys(step[mesh.triangles], mesh.n_nodes)
+    order, turned_order = np.argsort(keys), np.argsort(turned_keys)
+    if not (
+        np.array_equal(keys[order], turned_keys[turned_order])
+        and np.array_equal(mesh.regions[order], mesh.regions[turned_order])
+    ):
+        return None
+    position = np.where(mesh.triangles > 0, (mesh.triangles - 1) % n, 0)
+    wedge = np.nonzero((position <= 1).all(axis=1))[0]
+    return wedge if len(wedge) * n == len(mesh.triangles) else None
 
 
-def _condense(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
-    """Eliminate the interior nodes from the stiffness of (mesh, sigma)."""
-    K = stiffness_matrix(mesh, sigma)
+def _fourier_schur(mesh: Mesh, sigma: Conductivity, wedge: np.ndarray):
+    """S per theta mode k = 0 .. n_theta / 2, as a (modes, 2, 2) stack, and the interior map.
+
+    On ring values exp(2 pi i k t / n_theta) every block of K between two
+    rings acts as one number, its symbol, so per mode K is a small matrix
+    over the rings, built from the element matrices of one wedge. The center
+    is one node: it enters mode 0 only, as a ring of n_theta copies of itself.
+    One stacked solve eliminates the interior rings of every mode at once.
+    """
+    n = mesh.params[2]
+    n_rings = (mesh.n_nodes - 1) // n
+    tri = mesh.triangles[wedge]
+    ring = np.where(tri > 0, (tri - 1) // n + 1, 0)  # ring 0 is the center
+    position = np.where(tri > 0, (tri - 1) % n, 0)
+    ke = element_stiffness(mesh, sigma, wedge)
+    rows = np.broadcast_to(ring[:, :, None], ke.shape)
+    cols = np.broadcast_to(ring[:, None, :], ke.shape)
+    shift = position[:, None, :] - position[:, :, None]  # column minus row: -1, 0 or 1
+    # K_d[r, s]: coupling of ring r at theta position t to ring s at t + d; K_-1 = K_1^T
+    K_0, K_1 = np.zeros((2, n_rings + 1, n_rings + 1))
+    for K_d, d in ((K_0, 0), (K_1, 1)):
+        pairs = shift == d
+        np.add.at(K_d, (rows[pairs], cols[pairs]), ke[pairs])
+    z = np.exp(2j * np.pi / n * np.arange(n // 2 + 1))[:, None, None]
+    K = K_0 + z * K_1 + z.conj() * K_1.T
+    K[1:, 0, :] = K[1:, :, 0] = 0.0
+    K[1:, 0, 0] = 1.0
+    R = np.array([_layout_ring(mesh.interface_nodes, n), _layout_ring(mesh.boundary_nodes, n)])
+    I = np.setdiff1d(np.arange(n_rings + 1), R)  # the center first, then rings in node order
+    Z = np.linalg.solve(K[:, I[:, None], I], K[:, I[:, None], R])  # K_II^-1 K_IR per mode
+    S = K[:, R[:, None], R] - K[:, R[:, None], I] @ Z
+
+    def interior(x_ring: np.ndarray) -> np.ndarray:
+        X = np.fft.rfft(x_ring.reshape(2, n, -1), axis=1).transpose(1, 0, 2)
+        values = np.fft.irfft(-(Z @ X), n, axis=0)  # (n_theta, len(I), k)
+        # the center's mode 0 is n_theta times its value, so every t gives it
+        inner = values[:, 1:].transpose(1, 0, 2).reshape(-1, values.shape[2])
+        return np.concatenate([values[0, :1], inner]).reshape((-1,) + x_ring.shape[1:])
+
+    return S, interior
+
+
+def _sparse_schur(mesh: Mesh, sigma: Conductivity):
+    """S as a dense matrix and the interior map, through a sparse LU of K_II.
+
+    For meshes without the theta symmetry (loaded or moved nodes): S is
+    formed a block of ring columns at a time, so no dense K_II^-1 K_IR is held.
+    """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    K = sp.csr_matrix(
+        (element_stiffness(mesh, sigma).ravel(), (rows, cols)), shape=(mesh.n_nodes,) * 2
+    )
     ring = np.concatenate([mesh.interface_nodes, mesh.boundary_nodes])
     interior = np.setdiff1d(np.arange(mesh.n_nodes), ring)
     K_I = K[interior]
@@ -203,29 +282,40 @@ def _condense(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
         )
     except RuntimeError as exc:
         raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
-    schur = K[ring][:, ring].toarray()
-    if _turns_onto_itself(mesh, K):
-        # a theta step moves every ring position to the next one on its ring
-        # and leaves S unchanged, so the four n x n blocks of S are circulant:
-        # the first interface and the first boundary column give all of them
-        n = mesh.n_interface_nodes
-        first = K_IR.T @ interior_lu.solve(K_IR[:, [0, n]].toarray())
-        halves = (slice(0, n), slice(n, 2 * n))
-        for top in halves:
-            for j, left in enumerate(halves):
-                schur[top, left] -= la.circulant(first[top, j])
+    S = K[ring][:, ring].toarray()
+    for lo in range(0, len(ring), _SCHUR_BLOCK):
+        span = slice(lo, lo + _SCHUR_BLOCK)
+        S[:, span] -= K_IR.T @ interior_lu.solve(K_IR[:, span].toarray())
+    K_IR = K_IR.tocsr()
+    return S, lambda x_ring: -interior_lu.solve(K_IR @ x_ring)
+
+
+def _eliminate_boundary(S: np.ndarray, n: int):
+    """T, W and S_BB^-1 of S, whose last two axes split into G and B after n."""
+    S_BB_inv = np.linalg.inv(S[..., n:, n:])
+    W = S_BB_inv @ S[..., n:, :n]
+    return S[..., :n, :n] - S[..., :n, n:] @ W, W, S_BB_inv
+
+
+def _circulant(symbol: np.ndarray, n: int) -> np.ndarray:
+    """The n x n circulant whose eigenvalue on exp(2 pi i k t / n) is symbol[k], k = 0 .. n / 2."""
+    first_column = np.fft.irfft(symbol, n)
+    i = np.arange(n)
+    return first_column[(i[:, None] - i) % n]
+
+
+def _condense(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
+    """Eliminate the interior, then the boundary, from the stiffness of (mesh, sigma)."""
+    wedge = _theta_wedge(mesh)
+    if wedge is None:
+        S, interior = _sparse_schur(mesh, sigma)
+        T, W, S_BB_inv = _eliminate_boundary(S, mesh.n_interface_nodes)
     else:
-        # column block by column block, so no dense K_II^-1 K_IR is ever held
-        for lo in range(0, len(ring), _SCHUR_BLOCK):
-            span = slice(lo, lo + _SCHUR_BLOCK)
-            schur[:, span] -= K_IR.T @ interior_lu.solve(K_IR[:, span].toarray())
-    return GammaFreePart(
-        ring=ring,
-        interior=interior,
-        schur=schur,
-        interior_lu=interior_lu,
-        K_IR=K_IR.tocsr(),
-    )
+        # per theta mode S is 2 x 2, and T, W and S_BB^-1 are circulant
+        S, interior = _fourier_schur(mesh, sigma, wedge)
+        n = mesh.n_interface_nodes
+        T, W, S_BB_inv = (_circulant(block[:, 0, 0], n) for block in _eliminate_boundary(S, 1))
+    return GammaFreePart(T=T, W=W, S_BB_inv=S_BB_inv, interior=interior)
 
 
 def gamma_free_part(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
@@ -241,17 +331,17 @@ def gamma_free_part(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
 
 
 def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma) -> np.ndarray:
-    """A = S + C_Gamma(gamma), the dense matrix of K(sigma, gamma) on the ring nodes.
+    """A = T + C_Gamma(gamma), the dense matrix of K(sigma, gamma) condensed onto the interface.
 
     Only the cyclic-tridiagonal Robin term C_Gamma depends on gamma.
     """
     if not _gamma_min(mesh, gamma) > 0.0:  # also rejects NaN
         raise CoercivityError("gamma must be bounded below by a positive constant")
     ke = _robin_edge_matrices(mesh, gamma)
-    # the interface nodes are the first ring positions; edge e joins e and e + 1
+    # edge e joins interface positions e and e + 1
     i = np.arange(mesh.n_interface_nodes)
     j = mesh.interface_next
-    A = gamma_free_part(mesh, sigma).schur.copy()
+    A = gamma_free_part(mesh, sigma).T.copy()
     A[i, i] += ke[:, 0, 0] + ke[mesh.interface_prev, 1, 1]
     A[i, j] += ke[:, 0, 1]
     A[j, i] += ke[:, 1, 0]
@@ -259,66 +349,60 @@ def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma) -> np.ndarray:
 
 
 def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
-    """The system of gamma: the Cholesky factor of :func:`condensed_matrix`."""
+    """The system of gamma: :func:`condensed_matrix`, checked positive definite."""
     A = condensed_matrix(mesh, sigma, gamma)
-    # A is symmetric, so A.T is the same matrix in Fortran order, which LAPACK
-    # factors in place instead of copying it. A NaN in A may pass the
-    # factorization; the finiteness check of every solve catches it.
-    factor, info = dpotrf(A.T, overwrite_a=True, clean=False)
-    if info != 0:
-        raise NumericalError(f"Cholesky factorization failed: LAPACK dpotrf info {info}")
-    return SparseSystem(mesh, sigma, gamma, gamma_free_part(mesh, sigma), factor)
+    try:
+        # a NaN in A may pass; the finiteness check of every solve catches it
+        cholesky(A)
+    except LinAlgError as exc:
+        raise NumericalError(f"condensed matrix is not positive definite: {exc}") from exc
+    return SparseSystem(mesh, sigma, gamma, gamma_free_part(mesh, sigma), A)
 
 
-def _solve(system: SparseSystem, b: np.ndarray) -> np.ndarray:
-    """Solve K x = b for a load on the ring nodes, (n_R,) or (n_R, k); return x_R.
+def _solve(system: SparseSystem, interface_load=None, boundary_load=None) -> np.ndarray:
+    """Ring values x_R of K x = b for a load b on the interface or on the boundary.
 
-    No load reaches an interior node, so the ring values come from the
-    Cholesky factor of A alone; :func:`nodal_field` recovers the interior.
+    A load is (n,) or (n, k). With the interior and the boundary eliminated,
+    A x_G = b_G - W^T b_B and x_B = S_BB^-1 b_B - W x_G; :func:`nodal_field`
+    recovers the interior.
     """
-    x, info = dpotrs(system.factor, b)
-    if info != 0 or not np.isfinite(x).all():
-        raise NumericalError("linear solve failed or produced non-finite values")
+    part = system.part
+    if boundary_load is not None:
+        interface_load = -(part.W.T @ boundary_load)
+    try:
+        x_interface = np.linalg.solve(system.matrix, interface_load)
+    except LinAlgError as exc:
+        raise NumericalError(f"linear solve failed: {exc}") from exc
+    x_boundary = -(part.W @ x_interface)
+    if boundary_load is not None:
+        x_boundary += part.S_BB_inv @ boundary_load
+    x = np.concatenate([x_interface, x_boundary])
+    if not np.isfinite(x).all():
+        raise NumericalError("linear solve produced non-finite values")
     return x
 
 
 def nodal_field(system: SparseSystem, x_ring: np.ndarray) -> np.ndarray:
-    """Full nodal field(s) of ring values x_R, (n_R,) or (n_R, k), from a solve.
-
-    The interior values are x_I = -K_II^-1 K_IR x_R.
-    """
-    part = system.part
-    x_ring = np.asarray(x_ring, dtype=float)
-    if len(x_ring) != len(part.ring):
-        raise ParameterError("ring vector length does not match the system")
-    x = np.empty((system.mesh.n_nodes,) + x_ring.shape[1:])
-    x[part.ring] = x_ring
-    x[part.interior] = -part.interior_lu.solve(part.K_IR @ x_ring)
+    """Full nodal field(s) of ring values x_R, (n_R,) or (n_R, k), from a solve."""
+    mesh = system.mesh
+    x_ring = _ring_values(mesh, x_ring)
+    ring = np.concatenate([mesh.interface_nodes, mesh.boundary_nodes])
+    interior = np.ones(mesh.n_nodes, dtype=bool)
+    interior[ring] = False
+    x = np.empty((mesh.n_nodes,) + x_ring.shape[1:])
+    x[ring] = x_ring
+    x[interior] = system.part.interior(x_ring)
     if not np.isfinite(x).all():
         raise NumericalError("interior recovery produced non-finite values")
     return x
 
 
-def scatter_boundary(system: SparseSystem, g: np.ndarray) -> np.ndarray:
-    """Ring load(s) of int_{dOmega} g w ds for piecewise-linear g of shape (n,) or (n, k)."""
-    g = np.asarray(g, dtype=float)
-    mesh = system.mesh
-    if len(g) != mesh.n_boundary_nodes:
-        raise ParameterError("boundary function length mismatch")
-    b = np.zeros((len(system.part.ring),) + g.shape[1:])
-    b[mesh.n_interface_nodes :] = mesh.boundary_mass @ g
-    return b
-
-
-def scatter_interface(system: SparseSystem, f: np.ndarray) -> np.ndarray:
-    """Ring load(s) of int_Gamma f w ds for piecewise-linear f of shape (n,) or (n, k)."""
+def _curve_load(M: np.ndarray, f: np.ndarray, what: str) -> np.ndarray:
+    """Load(s) int f w ds on a curve of mass M, for piecewise-linear f of shape (n,) or (n, k)."""
     f = np.asarray(f, dtype=float)
-    mesh = system.mesh
-    if len(f) != mesh.n_interface_nodes:
-        raise ParameterError("interface function length mismatch")
-    b = np.zeros((len(system.part.ring),) + f.shape[1:])
-    b[: mesh.n_interface_nodes] = mesh.interface_mass @ f
-    return b
+    if len(f) != M.shape[0]:
+        raise ParameterError(f"{what} function length mismatch")
+    return M @ f
 
 
 def solve_forward(system: SparseSystem, g: np.ndarray) -> np.ndarray:
@@ -326,17 +410,18 @@ def solve_forward(system: SparseSystem, g: np.ndarray) -> np.ndarray:
 
     Like the other solves, takes one function (n,) or k of them as columns (n, k).
     """
-    return _solve(system, scatter_boundary(system, g))
+    return _solve(system, boundary_load=_curve_load(system.mesh.boundary_mass, g, "boundary"))
 
 
 def solve_adjoint(system: SparseSystem, residual: np.ndarray) -> np.ndarray:
     """Adjoint solve: a(v, w) = -int_{dOmega} residual w ds."""
-    return _solve(system, -scatter_boundary(system, residual))
+    load = _curve_load(system.mesh.boundary_mass, residual, "boundary")
+    return _solve(system, boundary_load=-load)
 
 
 def solve_interface_source(system: SparseSystem, f: np.ndarray) -> np.ndarray:
     """Interface-source solve: a(v, w) = int_Gamma f w ds."""
-    return _solve(system, scatter_interface(system, f))
+    return _solve(system, interface_load=_curve_load(system.mesh.interface_mass, f, "interface"))
 
 
 def _ring_values(mesh: Mesh, x) -> np.ndarray:
@@ -356,7 +441,7 @@ def trace_boundary(mesh: Mesh, x: np.ndarray) -> np.ndarray:
     return _ring_values(mesh, x)[mesh.n_interface_nodes :]
 
 
-def _curve_l2(M: sp.csr_matrix, f1, f2) -> float:
+def _curve_l2(M: np.ndarray, f1, f2) -> float:
     f1 = np.asarray(f1, dtype=float)
     f2 = np.asarray(f2, dtype=float)
     if len(f1) != M.shape[0] or len(f2) != M.shape[0]:

@@ -120,7 +120,8 @@ def arc_edge_mask(partition: PartitionSpec, arcs) -> np.ndarray:
         raise ParameterError("arc set must be nonempty")
     if (arcs < 0).any() or (arcs >= partition.n_arcs).any():
         raise ParameterError("arc index out of range")
-    return np.isin(partition.arc_of_edge, arcs)
+    # a few arcs: one comparison each is cheaper than np.isin's general method
+    return (partition.arc_of_edge[:, None] == arcs).any(axis=1)
 
 
 def arc_lengths(system: SparseSystem, partition: PartitionSpec) -> np.ndarray:
@@ -131,7 +132,7 @@ def arc_lengths(system: SparseSystem, partition: PartitionSpec) -> np.ndarray:
 def indicator_nodal(partition: PartitionSpec, arcs) -> np.ndarray:
     """Nodal indicator of an arc set; shared nodes go to the lower-index arc."""
     arcs = np.atleast_1d(np.asarray(arcs, dtype=np.int64))
-    return np.isin(partition.node_arc, arcs).astype(float)
+    return (partition.node_arc[:, None] == arcs).any(axis=1).astype(float)
 
 
 def localized_potential(

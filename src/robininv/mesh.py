@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ParameterError
 
@@ -38,12 +37,16 @@ class Mesh:
         position e to position (e + 1) % E.
     h: maximum edge length.
     interface_mass / boundary_mass: P1 mass matrices of L2(Gamma) and
-        L2(dOmega) in ring positions, built on first use.
+        L2(dOmega) in ring positions, dense and read-only, built on first use.
+    params: (n_r_inner, n_r_outer, n_theta) of a mesh from
+        :func:`generate_disk_mesh`, empty otherwise; with them ``theta_step``
+        knows the node layout, and ``fem`` condenses by a Fourier transform
+        in theta.
     cache: filled on first use, it lives and dies with the mesh. Per
         conductivity, ``fem`` keeps the gamma-free part of the Galerkin
-        system: the Schur complement on the ring (interface and boundary)
-        nodes, the only nodes whose values a solve returns, and the interior
-        factor with which ``fem.nodal_field`` recovers the rest. Per
+        system: the stiffness condensed onto the interface nodes, the maps
+        that give the boundary values, and the map with which
+        ``fem.nodal_field`` recovers the interior. Per
         ``("nd_basis", n_modes)``, ``ndmap`` keeps the read-only
         M-orthonormal trigonometric boundary basis, which depends on neither
         gamma nor sigma.
@@ -87,11 +90,11 @@ class Mesh:
         return edge_lengths(self, self.interface_edges)
 
     @cached_property
-    def interface_mass(self) -> sp.csr_matrix:
+    def interface_mass(self) -> np.ndarray:
         return _curve_mass(self.interface_edge_lengths)
 
     @cached_property
-    def boundary_mass(self) -> sp.csr_matrix:
+    def boundary_mass(self) -> np.ndarray:
         return _curve_mass(edge_lengths(self, self.boundary_edges))
 
     @cached_property
@@ -235,15 +238,17 @@ def edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
     return np.linalg.norm(d, axis=1)
 
 
-def _curve_mass(length: np.ndarray) -> sp.csr_matrix:
-    """1D P1 mass matrix of a closed polygon whose edge e joins ring positions e and e + 1."""
-    n = len(length)
-    i = np.arange(n)
-    j = (i + 1) % n
-    rows = np.concatenate([i, j, i, j])
-    cols = np.concatenate([i, j, j, i])
-    data = np.concatenate([length / 3.0, length / 3.0, length / 6.0, length / 6.0])
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+def _curve_mass(length: np.ndarray) -> np.ndarray:
+    """Dense, read-only P1 mass matrix of a closed polygon.
+
+    Edge e joins ring positions e and e + 1.
+    """
+    i = np.arange(len(length))
+    j = np.roll(i, -1)
+    M = np.zeros((len(length), len(length)))
+    M[i, i] = (length + length[i - 1]) / 3.0
+    M[i, j] = M[j, i] = length / 6.0
+    return _read_only(M)
 
 
 def _max_edge_length(nodes: np.ndarray, triangles: np.ndarray) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import ParameterError
 from .fem import (
@@ -32,6 +31,9 @@ from .mesh import Mesh
 GTOL_REL = 1e-8  # default gtol, relative to the initial gradient norm
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
 MAX_HALVINGS = 40  # step halvings before a line search fails
+# a line search stalls once the decrease the Armijo test asks for,
+# ARMIJO_C * step * |slope|, falls below STALL_ULPS rounding units of |J|
+STALL_ULPS = 8.0
 
 
 @dataclass
@@ -60,7 +62,7 @@ class BfgsOptions:
 class BfgsState:
     gamma: np.ndarray
     history: list = field(default_factory=list)  # (J, grad_inf, step)
-    status: str = "max_iter"  # converged | max_iter | line_search_failure
+    status: str = "max_iter"  # converged | max_iter | line_search_failure | stalled
 
 
 def synthesize_data(mesh: Mesh, sigma: Conductivity, gamma_true, fluxes) -> DataSet:
@@ -107,8 +109,18 @@ def _covector(system: SparseSystem, states, residuals, lam: float) -> np.ndarray
 
 
 def _riesz_map(mesh: Mesh):
-    """covector -> its Riesz representer in the L2(Gamma) inner product (interface mass solve)."""
-    return spla.splu(mesh.interface_mass.tocsc()).solve
+    """covector -> its Riesz representer in the L2(Gamma) inner product (inverse interface mass)."""
+    return np.linalg.inv(mesh.interface_mass).__matmul__
+
+
+def _update_inverse_hessian(H: np.ndarray, s: np.ndarray, y: np.ndarray, rho: float) -> None:
+    """H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T in place, as a rank-two update.
+
+    H - rho (s (Hy)^T + (Hy) s^T) + (rho^2 y^T H y + rho) s s^T, Nocedal & Wright eq. 6.17.
+    """
+    Hy = H @ y
+    H += np.outer((rho * rho * float(y @ Hy) + rho) * s - rho * Hy, s)
+    H -= rho * np.outer(s, Hy)
 
 
 def cost(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float = 0.0) -> float:
@@ -134,7 +146,8 @@ def bfgs_minimize(
 
     The iterate stays in [c0, c1]; the update is skipped when the curvature
     condition fails, keeping the approximation positive definite. The cost
-    history is non-increasing by the acceptance rule.
+    history is non-increasing by the acceptance rule. A line search that
+    would compare costs at rounding level ends the run as ``stalled``.
     """
     opts = opts or BfgsOptions()
     x = np.asarray(gamma_init, dtype=float).copy()
@@ -178,6 +191,9 @@ def bfgs_minimize(
         step = 1.0
         accepted = False
         for _halving in range(MAX_HALVINGS + 1):
+            if ARMIJO_C * step * abs(slope) < STALL_ULPS * np.finfo(float).eps * abs(J):
+                state.status = "stalled"
+                return state
             cand = np.clip(x + step * d, opts.c0, opts.c1)
             J_cand, evaluation = evaluate(cand)
             if J_cand <= J + ARMIJO_C * step * slope:
@@ -193,9 +209,7 @@ def bfgs_minimize(
         y = grad_new - grad
         sy = float(s @ y)
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            rho = 1.0 / sy
-            V = np.eye(n) - rho * np.outer(s, y)
-            H = V @ H @ V.T + rho * np.outer(s, s)
+            _update_inverse_hessian(H, s, y, 1.0 / sy)
         x, J, grad, rep = cand, J_cand, grad_new, rep_new
         grad_inf = float(np.abs(rep).max())
         state.gamma = x

@@ -195,7 +195,8 @@ def test_bad_eps_rejected(tmp_path, value):
 @pytest.mark.parametrize(
     "line",
     ["seed = -1", f"seed = {2**64}", "max_iter = -3", "gtol = -1e-6",
-     "c0 = 0", "c1 = 1e-4", "a = -1", "b = 0.5"],
+     "c0 = 0", "c1 = 1e-4", "a = -1", "b = 0.5", "n_r_inner = 0", "n_r_outer = 0",
+     "n_theta = 31", "n_modes = 0", "partition_m = 0", "partition_m = 33"],
 )
 def test_out_of_range_config_values_exit_1(tmp_path, line):
     key = line.split()[0]
@@ -213,6 +214,41 @@ def test_out_of_range_seed_flag_exit_1(tmp_path, capsys, seed):
     assert "--seed: seed must be" in capsys.readouterr().err
 
 
+def test_range_errors_stop_before_any_output(tmp_path, capsys):
+    # lipschitz reads n_modes only after every CGNE run, and partition_m when
+    # it splits the interface: both are checked, by name, before any work
+    for line in ("n_modes = 0", "partition_m = 0"):
+        cfg = write_config(tmp_path, COARSE + line + "\n")
+        out = tmp_path / "out"
+        assert cli.main(["lipschitz", "--config", cfg, "--out", str(out)]) == 1
+        assert line.split()[0] + " must be" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_range_bounds_accepted(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path, f"seed = {2**64 - 1}\nmax_iter = 0\ngtol = 0\n"))
     assert (cfg.seed, cfg.max_iter, cfg.gtol) == (2**64 - 1, 0, 0.0)
+    mesh_keys = "n_r_inner = 1\nn_r_outer = 1\nn_theta = 8\nn_modes = 1\npartition_m = 8\n"
+    cfg = cli.parse_config(write_config(tmp_path, mesh_keys, name="mesh.txt"))
+    assert (cfg.n_r_inner, cfg.n_r_outer, cfg.n_theta, cfg.n_modes, cfg.partition_m) == (
+        1, 1, 8, 1, 8
+    )
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    # the per-value expression write_csv used before it formatted whole rows
+    def old_line(row):
+        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+
+    rows = [
+        (0, 0.1, np.float64(2.0 / 3.0), -0.0),
+        (1, float("nan"), float("inf"), -float("inf")),
+        (np.int64(2), 1e-300, 123456789.0, 2**70),
+        (3, 5, None, True),  # a column may change its type from row to row
+        [4, np.float64(1e22), "text", np.float32(0.1)],
+    ]
+    cfg = cli.ExperimentConfig()
+    path = tmp_path / "rows.csv"
+    cli.write_csv(path, ["a", "b", "c", "d"], rows, cfg)
+    expected = [f"# config={cli.config_hash(cfg)} seed={cfg.seed}", "a,b,c,d"]
+    assert path.read_text() == "\n".join(expected + [old_line(row) for row in rows]) + "\n"

@@ -2,33 +2,50 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robininv as ri
 from robininv import cli, fem
-from robininv.fem import condensed_matrix, interface_form_matrix, stiffness_matrix
+from robininv.fem import condensed_matrix
+
+
+def _sparse(mesh, local, cells):
+    """Sum the local matrices local[c] over the global node indices cells[c]."""
+    width = cells.shape[1]
+    rows = np.repeat(cells, width, axis=1).ravel()
+    cols = np.tile(cells, (1, width)).ravel()
+    return sp.csr_matrix((local.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes))
+
+
+def stiffness_matrix(mesh, sigma):
+    """The full sparse P1 stiffness on every node."""
+    return _sparse(mesh, fem.element_stiffness(mesh, sigma), mesh.triangles)
+
+
+def interface_form_matrix(mesh, gamma):
+    """The full sparse matrix of int_Gamma gamma u w ds (2-point Gauss) on every node."""
+    return _sparse(mesh, fem._robin_edge_matrices(mesh, gamma), mesh.interface_edges)
 
 
 def test_assembly_symmetric_and_split(mesh_coarse):
     sigma_unit = ri.Conductivity(1.0, 1.0)
     ones = np.ones(mesh_coarse.n_interface_nodes)
     A = condensed_matrix(mesh_coarse, sigma_unit, ones)
-    assert A.shape == (2 * mesh_coarse.n_interface_nodes,) * 2  # interface then boundary
+    assert A.shape == (mesh_coarse.n_interface_nodes,) * 2  # the interface nodes only
     assert np.abs(A - A.T).max() <= 1e-14 * np.abs(A).max()
 
 
 def test_gamma_enters_linearly(mesh_coarse, sigma):
-    # only the interface block of A depends on gamma, through the Robin term
+    # A depends on gamma through the Robin term only
     ones = np.ones(mesh_coarse.n_interface_nodes)
     A1 = condensed_matrix(mesh_coarse, sigma, ones)
     A2 = condensed_matrix(mesh_coarse, sigma, 2.0 * ones)
     gamma_nodes = mesh_coarse.interface_nodes
     robin = interface_form_matrix(mesh_coarse, ones)[gamma_nodes][:, gamma_nodes].toarray()
-    expected = np.zeros_like(A1)
-    expected[: len(gamma_nodes), : len(gamma_nodes)] = robin
-    assert np.abs((A2 - A1) - expected).max() < 1e-14 * np.abs(A1).max()
+    assert np.abs((A2 - A1) - robin).max() < 1e-14 * np.abs(A1).max()
 
 
 def test_system_positive_definite(sigma):
@@ -203,62 +220,67 @@ def test_curve_mass_matrix_row_sums(mesh_coarse):
     assert perimeter == pytest.approx(32 * 2 * np.sin(np.pi / 32), abs=1e-12)
     # the interface mass is the Robin form of gamma = 1, which Gauss integrates exactly
     nodes = mesh_coarse.interface_nodes
-    robin = interface_form_matrix(mesh_coarse, np.ones(len(nodes)))[nodes][:, nodes]
-    assert abs(mesh_coarse.interface_mass - robin).max() <= 1e-15
+    robin = interface_form_matrix(mesh_coarse, np.ones(len(nodes)))[nodes][:, nodes].toarray()
+    assert np.abs(mesh_coarse.interface_mass - robin).max() <= 1e-15
 
 
 def _spy(monkeypatch, module, name):
-    """Record the shape of the first argument of every call to module.name."""
+    """Record the arguments of every call to module.name."""
     calls = []
     real = getattr(module, name)
 
     def spy(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
     return calls
 
 
-def _spy_on_factorizations(monkeypatch):
-    """Sparse LU and dense Cholesky factorizations done through robininv.fem."""
-    return _spy(monkeypatch, fem.spla, "splu"), _spy(monkeypatch, fem, "dpotrf")
+def _spy_on_setups_and_checks(monkeypatch):
+    """The two set-ups of a (mesh, sigma) and the definiteness check of each gamma."""
+    return (
+        _spy(monkeypatch, fem, "_fourier_schur"),
+        _spy(monkeypatch, fem, "_sparse_schur"),
+        _spy(monkeypatch, fem, "cholesky"),
+    )
 
 
 def test_many_solves_factor_once(sigma, monkeypatch):
     mesh = ri.generate_disk_mesh(2, 2, 32)
-    n_ring = mesh.n_interface_nodes + mesh.n_boundary_nodes
-    n_int = mesh.n_nodes - n_ring
-    sparse, dense = _spy_on_factorizations(monkeypatch)
-    system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 2.0))
+    n = mesh.n_interface_nodes
+    fourier, sparse, checks = _spy_on_setups_and_checks(monkeypatch)
+    system = ri.assemble_system(mesh, sigma, np.full(n, 2.0))
     for k in range(1, 4):
         ri.solve_forward(system, np.cos(k * mesh.boundary_theta))
     ri.solve_adjoint(system, np.sin(mesh.boundary_theta))
     ri.solve_interface_source(system, np.cos(mesh.interface_theta))
     ri.nd_form_matrix(system, 4)
-    assert dense == [(n_ring, n_ring)]
-    assert sparse == [(n_int, n_int)]  # the K_II factor of this (mesh, sigma)
-    # a new gamma on the same (mesh, sigma) costs one dense factorization only
-    other = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, 3.0))
+    ri.nodal_field(system, ri.solve_forward(system, np.cos(mesh.boundary_theta)))
+    assert [A.shape for A, in checks] == [(n, n)]  # T + C_Gamma, checked once
+    assert len(fourier) == 1 and sparse == []  # one set-up of this (mesh, sigma)
+    # a new gamma on the same (mesh, sigma) costs one check only
+    other = ri.assemble_system(mesh, sigma, np.full(n, 3.0))
     ri.nd_form_matrix(other, 4)
-    assert dense == [(n_ring, n_ring)] * 2
-    assert sparse == [(n_int, n_int)]
+    assert [A.shape for A, in checks] == [(n, n)] * 2
+    assert len(fourier) == 1 and sparse == []
 
 
 def test_masses_need_no_system(sigma, monkeypatch):
     mesh = ri.generate_disk_mesh(2, 2, 32)
-    sparse, dense = _spy_on_factorizations(monkeypatch)
+    fourier, sparse, checks = _spy_on_setups_and_checks(monkeypatch)
     for M in (mesh.interface_mass, mesh.boundary_mass):
         ones = np.ones(M.shape[0])
         assert ones @ (M @ ones) > 0
+        assert not M.flags.writeable
     assert mesh.boundary_mass is mesh.boundary_mass  # built once per mesh
-    assert mesh.cache == {} and sparse == [] and dense == []  # nothing condensed or factored
+    assert mesh.cache == {} and fourier == sparse == checks == []  # nothing condensed
     # lipschitz_constant reads the boundary mass from the mesh: one
-    # factorization per (k, m) system and no other
+    # check per (k, m) system and no other
     part = ri.interface_partition(mesh, 2)
     report = ri.lipschitz_constant(mesh, sigma, 1.0, 1.2, part)
-    assert len(dense) == len(report.entries) == 2
-    assert len(sparse) == 1  # one K_II factor for this (mesh, sigma)
+    assert len(checks) == len(report.entries) == 2
+    assert len(fourier) == 1 and sparse == []  # one set-up for this (mesh, sigma)
 
 
 def test_batched_solve_matches_single_solves(system_coarse):
@@ -367,12 +389,14 @@ def test_cli_maps_numerical_error_to_exit_2(tmp_path, monkeypatch):
 
 
 def _dense_schur(mesh, K):
-    """S = K_RR - K_RI K_II^-1 K_IR with R = interface then boundary nodes."""
-    ring = np.concatenate([mesh.interface_nodes, mesh.boundary_nodes])
-    interior = np.setdiff1d(np.arange(mesh.n_nodes), ring)
+    """K_GG - K_GO K_OO^-1 K_OG with G the interface nodes and O all others."""
+    gamma_nodes = mesh.interface_nodes
+    others = np.setdiff1d(np.arange(mesh.n_nodes), gamma_nodes)
     K = K.toarray()
-    K_RI = K[np.ix_(ring, interior)]
-    return K[np.ix_(ring, ring)] - K_RI @ np.linalg.solve(K[np.ix_(interior, interior)], K_RI.T)
+    K_GO = K[np.ix_(gamma_nodes, others)]
+    return K[np.ix_(gamma_nodes, gamma_nodes)] - K_GO @ np.linalg.solve(
+        K[np.ix_(others, others)], K_GO.T
+    )
 
 
 def test_cached_gamma_free_part_matches_fresh_assembly(sigma):
@@ -394,10 +418,11 @@ def test_cached_gamma_free_part_matches_fresh_assembly(sigma):
 
 
 def test_schur_without_rotational_symmetry_matches_dense(sigma, tmp_path):
-    # a generated mesh takes S from two columns; moving one interior node, or
-    # losing the layout on a save and load, leaves the column-block path
+    # a generated mesh condenses by a Fourier transform in theta; moving one
+    # interior node, or losing the layout on a save and load, leaves the
+    # sparse path
     mesh = ri.generate_disk_mesh(2, 2, 32)
-    assert fem._turns_onto_itself(mesh, stiffness_matrix(mesh, sigma))
+    assert len(fem._theta_wedge(mesh)) * 32 == len(mesh.triangles)
     nodes = mesh.nodes.copy()
     nodes[0] += 1e-3  # the center
     moved = dataclasses.replace(mesh, nodes=nodes)
@@ -407,7 +432,7 @@ def test_schur_without_rotational_symmetry_matches_dense(sigma, tmp_path):
     gamma = 1.0 + 0.5 * np.cos(mesh.interface_theta)
     for other in (moved, loaded):
         K = stiffness_matrix(other, sigma)
-        assert not fem._turns_onto_itself(other, K)
+        assert fem._theta_wedge(other) is None
         A = condensed_matrix(other, sigma, gamma)
         fresh = _dense_schur(other, K + interface_form_matrix(other, gamma))
         assert np.abs(A - fresh).max() <= 1e-13 * np.abs(fresh).max()
@@ -429,7 +454,7 @@ def test_nodal_field_keeps_the_ring_values(system_coarse):
     x_ring = ri.solve_forward(system_coarse, G)
     x = ri.nodal_field(system_coarse, x_ring)
     assert x.shape == (mesh.n_nodes, 2)
-    assert np.array_equal(x[system_coarse.part.ring], x_ring)
+    assert np.array_equal(x[np.concatenate([mesh.interface_nodes, mesh.boundary_nodes])], x_ring)
     single = ri.nodal_field(system_coarse, x_ring[:, 0])
     assert np.abs(single - x[:, 0]).max() <= 1e-14 * np.abs(single).max()
     with pytest.raises(ri.ParameterError):

@@ -1,0 +1,64 @@
+"""The drivers on generated meshes run on numpy alone; loaded meshes bring in scipy."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import robininv
+
+SRC = str(Path(robininv.__file__).resolve().parents[1])
+
+CONFIG = """
+n_r_inner = 2
+n_r_outer = 2
+n_theta = 32
+max_iter = 3
+n_modes = 4
+"""
+
+DRIVERS = """
+import sys
+from robininv import cli
+for sub in ("example1", "lipschitz", "forward"):
+    assert cli.main([sub, "--config", "cfg.txt", "--out", sub]) == 0, sub
+"""
+
+LOADED = """
+import sys
+import numpy as np
+import robininv as ri
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules)
+mesh = ri.generate_disk_mesh(2, 2, 32)
+ri.save_mesh(mesh, "mesh.txt")
+loaded = ri.load_mesh("mesh.txt")
+sigma = ri.Conductivity(2.0, 1.0)
+g = np.cos(mesh.boundary_theta)
+gamma = 1.0 + 0.5 * np.sin(mesh.interface_theta)
+fields = [ri.nodal_field(s, ri.solve_forward(s, g))
+          for s in (ri.assemble_system(m, sigma, gamma) for m in (mesh, loaded))]
+assert np.abs(fields[0] - fields[1]).max() <= 1e-12 * np.abs(fields[0]).max()
+"""
+
+
+def _run(tmp_path, code: str) -> set:
+    """Run code in a fresh interpreter in tmp_path; return the scipy modules it loaded."""
+    (tmp_path / "cfg.txt").write_text(CONFIG)
+    report = "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", code + report],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(ast.literal_eval(done.stdout.strip().splitlines()[-1]))
+
+
+def test_drivers_on_generated_meshes_import_no_scipy(tmp_path):
+    assert _run(tmp_path, DRIVERS) == set()
+    assert (tmp_path / "forward" / "field.csv").is_file()
+
+
+def test_loaded_mesh_still_solves(tmp_path):
+    assert "scipy.sparse.linalg" in _run(tmp_path, LOADED)

@@ -193,28 +193,35 @@ def test_bfgs_deterministic(mesh_coarse, sigma):
 
 
 def test_bfgs_factors_each_candidate_once(mesh_coarse, sigma, monkeypatch):
-    gamma_true = gamma_selector("example1", mesh_coarse.interface_theta)
-    fluxes = flux_set("example1", mesh_coarse.boundary_theta)
-    data = ri.add_noise(ri.synthesize_data(mesh_coarse, sigma, gamma_true, fluxes), 0.1, seed=3)
-    init = np.ones(mesh_coarse.n_interface_nodes)
     calls = []
-    real = fem.dpotrf
+    real = fem.cholesky
 
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return real(*args, **kwargs)
+    def spy(A):
+        calls.append(A.tobytes())
+        return real(A)
 
-    monkeypatch.setattr(fem, "dpotrf", spy)
-    opts = ri.BfgsOptions(max_iter=40)
-    state = ri.bfgs_minimize(mesh_coarse, sigma, data, 0.0, init, opts)
-    # an accepted step 0.5**h was the (h + 1)-th line-search candidate; a
-    # failed line search tried MAX_HALVINGS + 1 of them
-    candidates = sum(round(-np.log2(step)) + 1 for _, _, step in state.history[1:])
-    if state.status == "line_search_failure":
-        candidates += reconstruct.MAX_HALVINGS + 1
-    assert candidates > len(state.history)  # some line searches halved
-    # the start, then each candidate once: the accepted one's gradient reuses its factor
-    assert len(calls) == 1 + candidates
+    monkeypatch.setattr(fem, "cholesky", spy)
+    init = np.ones(mesh_coarse.n_interface_nodes)
+    cases = (("example1", 0.1, 2, "stalled"), ("example2", 0.0, 0, "max_iter"))
+    for which, eps, seed, status in cases:
+        gamma_true = gamma_selector(which, mesh_coarse.interface_theta)
+        fluxes = flux_set(which, mesh_coarse.boundary_theta)
+        clean = ri.synthesize_data(mesh_coarse, sigma, gamma_true, fluxes)
+        data = ri.add_noise(clean, eps, seed)
+        calls.clear()
+        state = ri.bfgs_minimize(mesh_coarse, sigma, data, 0.0, init, ri.BfgsOptions(max_iter=40))
+        assert state.status == status
+        assert len(set(calls)) == len(calls)  # no candidate is assembled twice
+        # an accepted step 0.5**h was the (h + 1)-th line-search candidate
+        candidates = sum(round(-np.log2(step)) + 1 for _, _, step in state.history[1:])
+        assert candidates > len(state.history)  # some line searches halved
+        # the start, then each candidate once: the accepted one's gradient reuses its system
+        if status == "stalled":
+            # the last line search stopped before its Armijo test reached
+            # rounding level, after at most MAX_HALVINGS candidates
+            assert 1 + candidates <= len(calls) <= 1 + candidates + reconstruct.MAX_HALVINGS
+        else:
+            assert len(calls) == 1 + candidates
 
 
 def test_bfgs_stays_on_the_ring(mesh_coarse, sigma, no_nodal_field):
@@ -224,3 +231,17 @@ def test_bfgs_stays_on_the_ring(mesh_coarse, sigma, no_nodal_field):
     init = np.ones(mesh_coarse.n_interface_nodes)
     state = ri.bfgs_minimize(mesh_coarse, sigma, data, 0.0, init, ri.BfgsOptions(max_iter=2))
     assert len(state.history) == 3
+
+
+def test_rank_two_update_matches_the_product_form():
+    rng = np.random.default_rng(5)
+    for n in (3, 32, 64):
+        X = rng.standard_normal((n, n))
+        H = X @ X.T + np.eye(n)
+        s, y = rng.standard_normal((2, n))
+        y += 2.0 * s  # s @ y > 0, as the curvature condition asks
+        rho = 1.0 / (s @ y)
+        V = np.eye(n) - rho * np.outer(s, y)
+        expected = V @ H @ V.T + rho * np.outer(s, s)
+        reconstruct._update_inverse_hessian(H, s, y, rho)
+        assert np.abs(H - expected).max() <= 1e-12 * np.abs(expected).max()
