@@ -317,7 +317,7 @@ def cmd_locpot(cfg, out):
     write_text(
         os.path.join(out, "summary.txt"),
         f"localized potential on arcs {arcs}: achieved={result.achieved} "
-        f"after {result.iterations} iterations\n",
+        f"after {result.iterations} iterations (stopped by {result.stopped_by})\n",
     )
     return EXIT_OK if result.achieved else EXIT_NOT_ACHIEVED
 

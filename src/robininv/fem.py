@@ -10,6 +10,11 @@ each gamma then adds its Robin term to that small dense matrix. On a mesh
 that one theta step maps onto itself, as every mesh from
 ``generate_disk_mesh`` is, the condensation is a Fourier transform in theta
 and needs numpy only. Other meshes factor their sparse interior with scipy.
+
+A coefficient may be a stack of s coefficients on the same (mesh, sigma):
+nodal values (s, n_Gamma) or an :class:`ArcwiseGamma` with values (s, M).
+Its system holds s matrices and every solve solves all of them at once; a
+single coefficient is a stack of one that keeps its shapes.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ _SHAPE_PRODUCTS = np.einsum("iq,jq->qij", GAUSS_SHAPE, GAUSS_SHAPE).reshape(2, 4
 # ring columns per interior solve when forming S on a mesh without rotational
 # symmetry: a 32-column block of K_II^-1 K_IR takes 98 KB on (4,4,64)
 _SCHUR_BLOCK = 32
+# bytes of matrices in one coefficient stack of :func:`assemble_stacks`:
+# 16 matrices of 64 x 64 on (4,4,64)
+_STACK_BYTES = 16 * 64 * 64 * 8
 # largest distance, relative to the largest node radius, between a turned node
 # and the node it should land on at which a mesh still turns onto itself;
 # rounding leaves about 2e-16
@@ -53,11 +61,14 @@ class Conductivity:
 
 
 class ArcwiseGamma:
-    """Robin coefficient that is constant on each arc of a partition."""
+    """Robin coefficient that is constant on each arc of a partition.
+
+    values is (M,) for one coefficient or (s, M) for a stack of s.
+    """
 
     def __init__(self, partition: PartitionSpec, values):
         values = np.asarray(values, dtype=float)
-        if len(values) != partition.n_arcs:
+        if values.ndim not in (1, 2) or values.shape[-1] != partition.n_arcs:
             raise ParameterError("one value per arc required")
         self.partition = partition
         self.values = values
@@ -66,28 +77,43 @@ class ArcwiseGamma:
         return float(self.values.min())
 
     def at_edge_points(self, n_edges: int, xi: np.ndarray) -> np.ndarray:
-        """Values at quadrature points: (n_edges, len(xi))."""
+        """Values at quadrature points: (n_edges, len(xi)), or (s, n_edges, len(xi))."""
         if n_edges != len(self.partition.arc_of_edge):
             raise ParameterError("partition does not match this mesh")
-        per_edge = self.values[self.partition.arc_of_edge]
-        return np.repeat(per_edge[:, None], len(xi), axis=1)
+        per_edge = self.values.take(self.partition.arc_of_edge, axis=-1)
+        return np.repeat(per_edge[..., None], len(xi), axis=-1)
+
+
+def _gamma_values(mesh: Mesh, gamma):
+    """gamma itself if arcwise, else its nodal values, checked: (n_Gamma,) or (s, n_Gamma)."""
+    if isinstance(gamma, ArcwiseGamma):
+        return gamma
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.ndim not in (1, 2) or gamma.shape[-1] != mesh.n_interface_nodes:
+        raise ParameterError("gamma must have one value per interface node")
+    return gamma
 
 
 def _gamma_edge_values(mesh: Mesh, gamma, xi: np.ndarray) -> np.ndarray:
-    """Evaluate gamma at the points xi of every interface edge."""
+    """Evaluate gamma at the points xi of every interface edge: (..., n_edges, len(xi))."""
+    gamma = _gamma_values(mesh, gamma)
     if isinstance(gamma, ArcwiseGamma):
         return gamma.at_edge_points(len(mesh.interface_edges), xi)
-    gamma = np.asarray(gamma, dtype=float)
-    if len(gamma) != mesh.n_interface_nodes:
-        raise ParameterError("gamma must have one value per interface node")
-    g1 = gamma[mesh.interface_next]
-    return gamma[:, None] * (1.0 - xi)[None, :] + g1[:, None] * xi[None, :]
+    g1 = gamma.take(mesh.interface_next, axis=-1)
+    return gamma[..., None] * (1.0 - xi) + g1[..., None] * xi
 
 
 def _gamma_min(mesh: Mesh, gamma) -> float:
     if isinstance(gamma, ArcwiseGamma):
         return gamma.min()
     return float(np.asarray(gamma, dtype=float).min())
+
+
+def _members(gamma, index):
+    """The members index of a coefficient stack, as :meth:`SparseSystem.members` takes it."""
+    if isinstance(gamma, ArcwiseGamma):
+        return ArcwiseGamma(gamma.partition, gamma.values[index])
+    return np.asarray(gamma, dtype=float)[index]
 
 
 @dataclass(frozen=True)
@@ -113,9 +139,10 @@ class GammaFreePart:
 class SparseSystem:
     """Galerkin system K(sigma, gamma), condensed onto the interface nodes.
 
-    matrix is A = T + C_Gamma(gamma) of :func:`condensed_matrix`, checked
-    positive definite at assembly; every solve solves with it and recovers
-    the boundary values through W and S_BB^-1.
+    matrix is A = T + C_Gamma(gamma) of :func:`condensed_matrix`, (n, n) for
+    one gamma or (s, n, n) for a stack of s, checked positive definite at
+    assembly; every solve solves with it and recovers the boundary values
+    through W and S_BB^-1.
     """
 
     mesh: Mesh
@@ -127,8 +154,15 @@ class SparseSystem:
     def gamma_nodal(self) -> np.ndarray:
         """Nodal values on interface nodes (arcwise gamma: lower-index arc wins)."""
         if isinstance(self.gamma, ArcwiseGamma):
-            return self.gamma.values[self.gamma.partition.node_arc]
+            return self.gamma.values[..., self.gamma.partition.node_arc]
         return np.asarray(self.gamma, dtype=float)
+
+    def members(self, index) -> "SparseSystem":
+        """The members index of this stack (a slice or an index array), or, for
+        index np.newaxis, a single system as a stack of one."""
+        return SparseSystem(
+            self.mesh, self.sigma, _members(self.gamma, index), self.part, self.matrix[index]
+        )
 
 
 def element_stiffness(mesh: Mesh, sigma: Conductivity, triangles=slice(None)) -> np.ndarray:
@@ -155,9 +189,12 @@ def element_stiffness(mesh: Mesh, sigma: Conductivity, triangles=slice(None)) ->
 
 
 def _robin_edge_matrices(mesh: Mesh, gamma) -> np.ndarray:
-    """ke[e, i, j] = int_{edge e} gamma N_i N_j ds by the 2-point Gauss rule: (E, 2, 2)."""
+    """ke[..., e, i, j] = int_{edge e} gamma N_i N_j ds by the 2-point Gauss rule: (..., E, 2, 2).
+
+    The leading axis, if any, is the coefficient stack.
+    """
     wq = _gamma_edge_values(mesh, gamma, GAUSS_XI) * GAUSS_W * mesh.interface_edge_lengths[:, None]
-    return (wq @ _SHAPE_PRODUCTS).reshape(-1, 2, 2)
+    return (wq @ _SHAPE_PRODUCTS).reshape(wq.shape[:-1] + (2, 2))
 
 
 def _layout_ring(nodes: np.ndarray, n_theta: int) -> int | None:
@@ -333,23 +370,31 @@ def gamma_free_part(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
 def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma) -> np.ndarray:
     """A = T + C_Gamma(gamma), the dense matrix of K(sigma, gamma) condensed onto the interface.
 
-    Only the cyclic-tridiagonal Robin term C_Gamma depends on gamma.
+    Only the cyclic-tridiagonal Robin term C_Gamma depends on gamma. A stack
+    of s coefficients gives s matrices, (s, n, n).
     """
     if not _gamma_min(mesh, gamma) > 0.0:  # also rejects NaN
         raise CoercivityError("gamma must be bounded below by a positive constant")
     ke = _robin_edge_matrices(mesh, gamma)
-    # edge e joins interface positions e and e + 1
-    i = np.arange(mesh.n_interface_nodes)
-    j = mesh.interface_next
-    A = gamma_free_part(mesh, sigma).T.copy()
-    A[i, i] += ke[:, 0, 0] + ke[mesh.interface_prev, 1, 1]
-    A[i, j] += ke[:, 0, 1]
-    A[j, i] += ke[:, 1, 0]
+    T = gamma_free_part(mesh, sigma).T  # before A, so the first set-up does not hold A too
+    stack = ke.shape[:-3]
+    A = np.empty(stack + T.shape)
+    A[...] = T
+    n = len(T)
+    # edge e joins interface positions e and e + 1 (cyclic); in a flat matrix,
+    # strides of n + 1 run along the diagonal (from 0), above it (from 1) and below it (from n)
+    flat = A.reshape(stack + (n * n,))
+    flat[..., :: n + 1] += ke[..., 0, 0] + ke[..., 1, 1].take(mesh.interface_prev, axis=-1)
+    flat[..., 1 :: n + 1] += ke[..., :-1, 0, 1]
+    flat[..., (n - 1) * n] += ke[..., -1, 0, 1]
+    flat[..., n :: n + 1] += ke[..., :-1, 1, 0]
+    flat[..., n - 1] += ke[..., -1, 1, 0]
     return A
 
 
 def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
-    """The system of gamma: :func:`condensed_matrix`, checked positive definite."""
+    """The system of gamma, or of a stack of them: :func:`condensed_matrix`, checked
+    positive definite by one Cholesky call."""
     A = condensed_matrix(mesh, sigma, gamma)
     try:
         # a NaN in A may pass; the finiteness check of every solve catches it
@@ -359,24 +404,47 @@ def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
     return SparseSystem(mesh, sigma, gamma, gamma_free_part(mesh, sigma), A)
 
 
+def assemble_stacks(mesh: Mesh, sigma: Conductivity, gamma):
+    """Yield (span, system) for consecutive spans of a coefficient stack.
+
+    Each system holds at most _STACK_BYTES of matrices (at least one), so a
+    long stack never holds all of its matrices at once.
+    """
+    values = gamma.values if isinstance(gamma, ArcwiseGamma) else _gamma_values(mesh, gamma)
+    if values.ndim != 2:
+        raise ParameterError("assemble_stacks takes a stack of coefficients")
+    count = len(values)
+    size = max(1, _STACK_BYTES // (8 * mesh.n_interface_nodes**2))
+    for lo in range(0, count, size):
+        span = slice(lo, min(lo + size, count))
+        yield span, assemble_system(mesh, sigma, _members(gamma, span))
+
+
 def _solve(system: SparseSystem, interface_load=None, boundary_load=None) -> np.ndarray:
     """Ring values x_R of K x = b for a load b on the interface or on the boundary.
 
-    A load is (n,) or (n, k). With the interior and the boundary eliminated,
-    A x_G = b_G - W^T b_B and x_B = S_BB^-1 b_B - W x_G; :func:`nodal_field`
-    recovers the interior.
+    A load is (n,) or (n, k), shared by every member of a stack, or (s, n, k),
+    one per member. One gamma gives (n_R,) or (n_R, k); a stack of s gives
+    (s, n_R, k), a load (n,) counting as k = 1. With the interior and the
+    boundary eliminated, A x_G = b_G - W^T b_B and x_B = S_BB^-1 b_B - W x_G;
+    :func:`nodal_field` recovers the interior.
     """
     part = system.part
-    if boundary_load is not None:
-        interface_load = -(part.W.T @ boundary_load)
+    stacked = system.matrix.ndim == 3
+    load = boundary_load if interface_load is None else interface_load
+    if stacked and load.ndim == 1:
+        load = load[:, None]
     try:
-        x_interface = np.linalg.solve(system.matrix, interface_load)
+        # one call solves one matrix or the whole stack
+        x_interface = np.linalg.solve(
+            system.matrix, load if boundary_load is None else -(part.W.T @ load)
+        )
     except LinAlgError as exc:
         raise NumericalError(f"linear solve failed: {exc}") from exc
     x_boundary = -(part.W @ x_interface)
     if boundary_load is not None:
-        x_boundary += part.S_BB_inv @ boundary_load
-    x = np.concatenate([x_interface, x_boundary])
+        x_boundary += part.S_BB_inv @ load
+    x = np.concatenate([x_interface, x_boundary], axis=int(stacked))
     if not np.isfinite(x).all():
         raise NumericalError("linear solve produced non-finite values")
     return x
@@ -398,10 +466,13 @@ def nodal_field(system: SparseSystem, x_ring: np.ndarray) -> np.ndarray:
 
 
 def _curve_load(M: np.ndarray, f: np.ndarray, what: str) -> np.ndarray:
-    """Load(s) int f w ds on a curve of mass M, for piecewise-linear f of shape (n,) or (n, k)."""
+    """Load(s) int f w ds on a curve of mass M, for piecewise-linear f of shape (n,),
+    (n, k) or, one per member of a stack, (s, n, k)."""
     f = np.asarray(f, dtype=float)
-    if len(f) != M.shape[0]:
+    if f.shape[1 if f.ndim == 3 else 0] != M.shape[0]:
         raise ParameterError(f"{what} function length mismatch")
+    if not np.isfinite(f).all():
+        raise NumericalError(f"{what} function has non-finite values")
     return M @ f
 
 
@@ -425,20 +496,23 @@ def solve_interface_source(system: SparseSystem, f: np.ndarray) -> np.ndarray:
 
 
 def _ring_values(mesh: Mesh, x) -> np.ndarray:
+    """x checked as ring values (n_R,), (n_R, k) or, from a stack, (s, n_R, k)."""
     x = np.asarray(x, dtype=float)
-    if len(x) != mesh.n_interface_nodes + mesh.n_boundary_nodes:
+    if x.shape[1 if x.ndim == 3 else 0] != mesh.n_interface_nodes + mesh.n_boundary_nodes:
         raise ParameterError("ring vector length does not match mesh")
     return x
 
 
 def trace_interface(mesh: Mesh, x: np.ndarray) -> np.ndarray:
     """Interface values of ring values x_R, as every solve returns them."""
-    return _ring_values(mesh, x)[: mesh.n_interface_nodes]
+    x = _ring_values(mesh, x)
+    return x[:, : mesh.n_interface_nodes] if x.ndim == 3 else x[: mesh.n_interface_nodes]
 
 
 def trace_boundary(mesh: Mesh, x: np.ndarray) -> np.ndarray:
     """Boundary values of ring values x_R, as every solve returns them."""
-    return _ring_values(mesh, x)[mesh.n_interface_nodes :]
+    x = _ring_values(mesh, x)
+    return x[:, mesh.n_interface_nodes :] if x.ndim == 3 else x[mesh.n_interface_nodes :]
 
 
 def _curve_l2(M: np.ndarray, f1, f2) -> float:

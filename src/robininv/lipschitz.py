@@ -16,16 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .fem import ArcwiseGamma, Conductivity, SparseSystem, assemble_system
+from .fem import ArcwiseGamma, Conductivity, SparseSystem, assemble_stacks, assemble_system
 from .locpot import (
     CgneResult,
     arc_edge_mask,
     arc_integral_sq,
-    cgne_solve,
+    cgne_lockstep,
     indicator_nodal,
 )
 from .mesh import Mesh, PartitionSpec
-from .ndmap import nd_form_matrix, operator_norm_diff
+from .ndmap import NdForm, nd_form_matrix, operator_norm_diff
 
 
 @dataclass
@@ -98,10 +98,36 @@ def gkm_condition(
     system: SparseSystem, partition: PartitionSpec, m: int, b_over_a: float, u_iface
 ) -> float:
     """(1/2) int_{arc m} u^2 - (2 b/a - 1) int_{Gamma \\ arc m} u^2 (1-based m)."""
-    mask = arc_edge_mask(partition, [m - 1])
+    return _localization(system, arc_edge_mask(partition, [m - 1]), b_over_a, u_iface)
+
+
+def _localization(system: SparseSystem, mask: np.ndarray, b_over_a: float, u_iface) -> float:
+    """:func:`gkm_condition` for the edges of arc m given as a mask."""
     on = arc_integral_sq(system, u_iface, mask)
     off = arc_integral_sq(system, u_iface, ~mask)
     return 0.5 * on - (2.0 * b_over_a - 1.0) * off
+
+
+def _gkm_runs(system: SparseSystem, ms, a: float, b: float, partition: PartitionSpec, max_iter):
+    """Lockstep CGNE runs for A* g = 4 chi_{arc m} on a stack of gamma^(km) systems,
+    one m per member, each stopped on its localization condition reaching 1."""
+    targets = 4.0 * np.stack([indicator_nodal(partition, [m - 1]) for m in ms])
+    last = [0.0] * len(ms)
+
+    def stop_for(i, m):
+        mask = arc_edge_mask(partition, [m - 1])
+
+        def stop(_it, _res, u_trace, _g):
+            last[i] = _localization(system, mask, b / a, u_trace)
+            return last[i] >= 1.0
+
+        return stop
+
+    stops = [stop_for(i, m) for i, m in enumerate(ms)]
+    results = cgne_lockstep(system, targets, stops, max_iter)
+    for result, value in zip(results, last):
+        result.functional_value = value
+    return results
 
 
 def compute_gkm(
@@ -115,24 +141,15 @@ def compute_gkm(
     max_iter: int = 500,
 ) -> CgneResult:
     """CGNE run for A* g = 4 chi_{arc m} under gamma^(km), stopped on the
-    localization condition reaching 1."""
+    localization condition reaching 1: the runs of :func:`lipschitz_constant`
+    for one (k, m), as a stack of one."""
     if b <= a or a <= 0:
         raise ParameterError("bounds must satisfy 0 < a < b")
     if not 1 <= k <= compute_K(a, b):
         raise ParameterError(f"k={k} out of range 1..{compute_K(a, b)}")
-    system = assemble_system(mesh, sigma, gamma_km_arcwise(k, m, a, partition))
-    target = 4.0 * indicator_nodal(partition, [m - 1])
-
-    last = {"value": 0.0}
-
-    def stop(_it, _res, u_trace, _g):
-        val = gkm_condition(system, partition, m, b / a, u_trace)
-        last["value"] = val
-        return val >= 1.0
-
-    result = cgne_solve(system, target, stop, max_iter)
-    result.functional_value = last["value"]
-    return result
+    gamma = gamma_km_arcwise(k, m, a, partition)
+    system = assemble_system(mesh, sigma, ArcwiseGamma(partition, gamma.values[None]))
+    return _gkm_runs(system, [m], a, b, partition, max_iter)[0]
 
 
 def lipschitz_constant(
@@ -143,12 +160,20 @@ def lipschitz_constant(
     partition: PartitionSpec,
     max_iter: int = 500,
 ) -> LipschitzReport:
-    """Run all K*M localized-potential computations and take G = max ||g||^2."""
+    """Run all K*M localized-potential computations and take G = max ||g||^2.
+
+    The gamma^(km) are assembled as bounded stacks and each stack's CGNE
+    runs go in lockstep.
+    """
     K = compute_K(a, b)
     report = LipschitzReport(a=a, b=b, K=K, partition=partition)
-    for k in range(1, K + 1):
-        for m in range(1, partition.n_arcs + 1):
-            res = compute_gkm(mesh, sigma, k, m, a, b, partition, max_iter)
+    km = [(k, m) for k in range(1, K + 1) for m in range(1, partition.n_arcs + 1)]
+    gammas = ArcwiseGamma(
+        partition, np.stack([gamma_km_arcwise(k, m, a, partition).values for k, m in km])
+    )
+    for span, system in assemble_stacks(mesh, sigma, gammas):
+        ms = [m for _, m in km[span]]
+        for (k, m), res in zip(km[span], _gkm_runs(system, ms, a, b, partition, max_iter)):
             report.entries.append(
                 GkmEntry(
                     k=k,
@@ -191,19 +216,24 @@ def verify_stability(
         raise ParameterError("stability verification requires a complete report")
     rng = np.random.default_rng(seed)
     part = report.partition
+    # every pair at once, in the order of n_samples sample_pair calls
+    pairs = rng.uniform(report.a, report.b, size=(n_samples, 2, part.n_arcs))
+    diff_inf = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1)
+    pairs, diff_inf = pairs[diff_inf != 0.0], diff_inf[diff_inf != 0.0]
+    if len(pairs) == 0:
+        return []
+    forms = np.empty((2 * len(pairs), 2 * n_modes + 1, 2 * n_modes + 1))
+    gammas = ArcwiseGamma(part, pairs.reshape(-1, part.n_arcs))
+    for span, system in assemble_stacks(mesh, sigma, gammas):
+        form = nd_form_matrix(system, n_modes)
+        basis, forms[span] = form.basis, form.matrix
+    nd_norms = operator_norm_diff(
+        NdForm(n_modes, basis, forms[0::2]), NdForm(n_modes, basis, forms[1::2])
+    )
     samples = []
-    for _ in range(n_samples):
-        v1, v2 = sample_pair(rng, part.n_arcs, report.a, report.b)
-        diff_inf = float(np.abs(v1 - v2).max())
-        if diff_inf == 0.0:
-            continue
-        F1 = nd_form_matrix(assemble_system(mesh, sigma, ArcwiseGamma(part, v1)), n_modes)
-        F2 = nd_form_matrix(assemble_system(mesh, sigma, ArcwiseGamma(part, v2)), n_modes)
-        nd_norm = operator_norm_diff(F1, F2)
-        ratio = diff_inf / nd_norm if nd_norm > 0 else np.inf
+    for (v1, v2), diff, nd_norm in zip(pairs, diff_inf.tolist(), nd_norms.tolist()):
+        ratio = diff / nd_norm if nd_norm > 0 else np.inf
         samples.append(
-            StabilitySample(
-                gamma1=v1, gamma2=v2, diff_inf=diff_inf, nd_diff_norm=nd_norm, ratio=ratio
-            )
+            StabilitySample(gamma1=v1, gamma2=v2, diff_inf=diff, nd_diff_norm=nd_norm, ratio=ratio)
         )
     return samples

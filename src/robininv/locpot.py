@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ParameterError
 from .fem import (
     SparseSystem,
-    boundary_l2,
-    interface_l2,
     solve_forward,
     solve_interface_source,
     trace_boundary,
@@ -28,13 +26,17 @@ from .mesh import PartitionSpec
 
 @dataclass
 class CgneResult:
-    """Outcome of a CGNE run: the current, its history, and the stop status."""
+    """Outcome of a CGNE run: the current, its history, and the stop status.
+
+    stopped_by is "stop test" (achieved), "stagnation" or "max_iter".
+    """
 
     g: np.ndarray
     iterations: int
     residual_history: list = field(default_factory=list)
     achieved: bool = False
     functional_value: float | None = None
+    stopped_by: str = ""
 
 
 def apply_A(system: SparseSystem, f) -> np.ndarray:
@@ -47,52 +49,99 @@ def apply_Astar(system: SparseSystem, g) -> np.ndarray:
     return trace_interface(system.mesh, solve_forward(system, g))
 
 
+def _sq_norms(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared norms of the rows in the inner product of the mass M.
+
+    One product per row, so a member's norms do not depend on the stack around it.
+    """
+    return ((rows[:, None, :] @ M)[:, 0] * rows).sum(axis=1)
+
+
+def cgne_lockstep(system: SparseSystem, targets, stops, max_iter: int) -> list:
+    """CGNE on A_i* g = targets[i] for every member i of a system stack, in lockstep.
+
+    One stacked forward and one stacked interface-source solve per iteration
+    serve every member still running. Member i stops on its own: when
+    ``stops[i](iteration, residual_norm, u_trace, g)`` holds (achieved), on
+    stagnation (denominator or rho not positive, before the update), or
+    after max_iter iterations; it then leaves the stack. Returns one
+    :class:`CgneResult` per member, as :func:`cgne_solve` would give it.
+    """
+    mesh = system.mesh
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.shape[1] != mesh.n_interface_nodes:
+        raise ParameterError("target must live on the interface nodes")
+    if system.matrix.ndim != 3 or len(system.matrix) != len(targets):
+        raise ParameterError("one target per member of the system stack required")
+    if max_iter < 1:
+        raise ParameterError("max_iter must be >= 1")
+    M_G, M_B = mesh.interface_mass, mesh.boundary_mass
+    results = [CgneResult(g=np.zeros(mesh.n_boundary_nodes), iterations=0) for _ in targets]
+    live = np.arange(len(targets))  # members still running, and their iterates below
+    g = np.zeros((len(targets), mesh.n_boundary_nodes))
+    r = targets.copy()
+
+    def record(it: int) -> np.ndarray:
+        """Residual norms and stop tests of the live members; True where achieved."""
+        norms = np.sqrt(np.maximum(_sq_norms(M_G, r), 0.0))
+        held = np.zeros(len(live), dtype=bool)
+        for j, i in enumerate(live):
+            result = results[i]
+            result.g, result.iterations = g[j], it
+            result.residual_history.append(norms[j])
+            held[j] = stops[i](it, norms[j], targets[i] - r[j], g[j])
+            if held[j]:
+                result.achieved, result.stopped_by = True, "stop test"
+        return held
+
+    running = ~record(0)
+    live, g, r = live[running], g[running], r[running]
+    if len(live) == 0:
+        return results
+    stack = system.members(live) if len(live) < len(targets) else system
+    s = apply_A(stack, r[..., None])[..., 0]  # loads (s, n, 1): one per member
+    p = s
+    rho = _sq_norms(M_B, s)
+    for it in range(1, max_iter + 1):
+        q = apply_Astar(stack, p[..., None])[..., 0]
+        denom = _sq_norms(M_G, q)
+        running = (denom > 0.0) & (rho > 0.0)  # else the residual is in the null space of A
+        for i in live[~running]:
+            results[i].stopped_by = "stagnation"
+        live, g, r, p, q, rho, denom = (
+            x[running] for x in (live, g, r, p, q, rho, denom)
+        )
+        alpha = rho / denom
+        g = g + alpha[:, None] * p
+        r = r - alpha[:, None] * q
+        running = ~record(it)
+        live, g, r, p, rho = (x[running] for x in (live, g, r, p, rho))
+        if len(live) == 0 or it == max_iter:
+            break
+        if len(live) < len(stack.matrix):
+            stack = system.members(live)
+        s = apply_A(stack, r[..., None])[..., 0]
+        rho_new = _sq_norms(M_B, s)
+        p = s + (rho_new / rho)[:, None] * p
+        rho = rho_new
+    for i in live:
+        results[i].stopped_by = "max_iter"
+    return results
+
+
 def cgne_solve(system: SparseSystem, target, stop, max_iter: int) -> CgneResult:
     """Conjugate gradients on the normal equations of A* g = target.
 
     ``stop(iteration, residual_norm, u_trace, g)`` is evaluated at every
     iterate, including the zero start; the residual norm is
     ||A* g - target||_{L2(Gamma)} and u_trace is the current A* g.
-    The residual history is non-increasing by construction.
+    The residual history is non-increasing by construction. This is
+    :func:`cgne_lockstep` on a stack of one.
     """
     target = np.asarray(target, dtype=float)
-    if len(target) != system.mesh.n_interface_nodes:
+    if target.ndim != 1:
         raise ParameterError("target must live on the interface nodes")
-    if max_iter < 1:
-        raise ParameterError("max_iter must be >= 1")
-
-    g = np.zeros(system.mesh.n_boundary_nodes)
-    u_trace = np.zeros_like(target)
-    r = target - u_trace
-    history = [np.sqrt(max(interface_l2(system, r, r), 0.0))]
-    result = CgneResult(g=g, iterations=0, residual_history=history)
-    if stop(0, history[0], u_trace, g):
-        result.achieved = True
-        return result
-
-    s = apply_A(system, r)
-    p = s.copy()
-    rho = boundary_l2(system, s, s)
-    for it in range(1, max_iter + 1):
-        q = apply_Astar(system, p)
-        denom = interface_l2(system, q, q)
-        if denom <= 0.0 or rho <= 0.0:
-            break  # stagnation: residual is in the null space of A
-        alpha = rho / denom
-        g = g + alpha * p
-        r = r - alpha * q
-        u_trace = target - r
-        history.append(np.sqrt(max(interface_l2(system, r, r), 0.0)))
-        result.g = g
-        result.iterations = it
-        if stop(it, history[-1], u_trace, g):
-            result.achieved = True
-            return result
-        s = apply_A(system, r)
-        rho_new = boundary_l2(system, s, s)
-        p = s + (rho_new / rho) * p
-        rho = rho_new
-    return result
+    return cgne_lockstep(system.members(np.newaxis), target[None], [stop], max_iter)[0]
 
 
 def runge_approximate(system: SparseSystem, f, tol: float, max_iter: int) -> CgneResult:

@@ -32,7 +32,7 @@ class NdForm:
 
     n_modes: int
     basis: np.ndarray  # (n_boundary_nodes, 2*n_modes+1), M-orthonormal columns
-    matrix: np.ndarray  # (2*n_modes+1, 2*n_modes+1)
+    matrix: np.ndarray  # (2*n_modes+1, 2*n_modes+1), or (s, ...) for a system stack
 
     def compatible_with(self, other: "NdForm") -> bool:
         return self.n_modes == other.n_modes and self.basis.shape == other.basis.shape
@@ -83,7 +83,7 @@ def orthonormal_boundary_basis(system: SparseSystem, n_modes: int) -> np.ndarray
 
 def nd_form_matrix(system: SparseSystem, n_modes: int) -> NdForm:
     """One batched forward solve of all basis functions; entries via the boundary
-    inner product."""
+    inner product. A system stack gives one matrix per member, (s, d, d)."""
     if n_modes < 1:
         raise ParameterError("n_modes must be >= 1")
     B = orthonormal_boundary_basis(system, n_modes)
@@ -92,16 +92,18 @@ def nd_form_matrix(system: SparseSystem, n_modes: int) -> NdForm:
 
 
 def _difference_eigenvalues(F1: NdForm, F2: NdForm) -> np.ndarray:
-    """Eigenvalues of F1 - F2, symmetrized against rounding."""
+    """Eigenvalues of F1 - F2, symmetrized against rounding; per member of stacked forms."""
     diff = F1.matrix - F2.matrix
-    return np.linalg.eigvalsh(0.5 * (diff + diff.T))
+    return np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff, -1, -2)))
 
 
-def operator_norm_diff(F1: NdForm, F2: NdForm) -> float:
-    """Spectral radius of the difference of the two truncated forms."""
+def operator_norm_diff(F1: NdForm, F2: NdForm):
+    """Spectral radius of the difference of the two truncated forms: a float, or
+    one per member when the forms hold stacks of matrices."""
     if not F1.compatible_with(F2):
         raise ParameterError("ND forms use different bases")
-    return float(np.abs(_difference_eigenvalues(F1, F2)).max())
+    radius = np.abs(_difference_eigenvalues(F1, F2)).max(axis=-1)
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def check_monotonicity(system1: SparseSystem, system2: SparseSystem, n_modes: int) -> float:

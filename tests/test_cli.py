@@ -106,6 +106,7 @@ def test_locpot_command(tmp_path):
     _, rows = read_csv(out / "locpot_residuals.csv")
     res = [float(r[1]) for r in rows]
     assert all(b <= a + 1e-12 for a, b in zip(res, res[1:]))
+    assert "(stopped by stop test)" in (out / "summary.txt").read_text()
 
 
 def test_reconstruct_command(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,11 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
+def _matrices(checks):
+    """The matrices that the recorded Cholesky calls checked, one per member of a stack."""
+    return [A for args in checks for A in args[0].reshape((-1,) + args[0].shape[-2:])]
+
+
 def _spy_on_setups_and_checks(monkeypatch):
     """The two set-ups of a (mesh, sigma) and the definiteness check of each gamma."""
     return (
@@ -257,12 +263,12 @@ def test_many_solves_factor_once(sigma, monkeypatch):
     ri.solve_interface_source(system, np.cos(mesh.interface_theta))
     ri.nd_form_matrix(system, 4)
     ri.nodal_field(system, ri.solve_forward(system, np.cos(mesh.boundary_theta)))
-    assert [A.shape for A, in checks] == [(n, n)]  # T + C_Gamma, checked once
+    assert [A.shape for A in _matrices(checks)] == [(n, n)]  # T + C_Gamma, checked once
     assert len(fourier) == 1 and sparse == []  # one set-up of this (mesh, sigma)
     # a new gamma on the same (mesh, sigma) costs one check only
     other = ri.assemble_system(mesh, sigma, np.full(n, 3.0))
     ri.nd_form_matrix(other, 4)
-    assert [A.shape for A, in checks] == [(n, n)] * 2
+    assert [A.shape for A in _matrices(checks)] == [(n, n)] * 2
     assert len(fourier) == 1 and sparse == []
 
 
@@ -279,7 +285,7 @@ def test_masses_need_no_system(sigma, monkeypatch):
     # check per (k, m) system and no other
     part = ri.interface_partition(mesh, 2)
     report = ri.lipschitz_constant(mesh, sigma, 1.0, 1.2, part)
-    assert len(checks) == len(report.entries) == 2
+    assert len(_matrices(checks)) == len(report.entries) == 2
     assert len(fourier) == 1 and sparse == []  # one set-up for this (mesh, sigma)
 
 
@@ -377,8 +383,10 @@ def test_nan_matrix_raises_numerical_error(sigma, monkeypatch):
 def test_non_finite_solution_raises_numerical_error(system_coarse):
     g = np.cos(system_coarse.mesh.boundary_theta)
     g[0] = np.inf
-    with pytest.raises(ri.NumericalError):
-        ri.solve_forward(system_coarse, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # raised before any product can warn
+        with pytest.raises(ri.NumericalError):
+            ri.solve_forward(system_coarse, g)
 
 
 def test_cli_maps_numerical_error_to_exit_2(tmp_path, monkeypatch):
@@ -459,3 +467,66 @@ def test_nodal_field_keeps_the_ring_values(system_coarse):
     assert np.abs(single - x[:, 0]).max() <= 1e-14 * np.abs(single).max()
     with pytest.raises(ri.ParameterError):
         ri.nodal_field(system_coarse, x_ring[:-1])
+
+
+def _stacks(mesh, members):
+    """A nodal and an arcwise stack of the given number of coefficients."""
+    rng = np.random.default_rng(23)
+    part = ri.interface_partition(mesh, 4)
+    return [
+        rng.uniform(0.5, 4.0, (members, mesh.n_interface_nodes)),
+        ri.ArcwiseGamma(part, rng.uniform(0.5, 4.0, (members, 4))),
+    ]
+
+
+def _member(gamma, i):
+    if isinstance(gamma, ri.ArcwiseGamma):
+        return ri.ArcwiseGamma(gamma.partition, gamma.values[i])
+    return gamma[i]
+
+
+def _assert_same(stacked, single):
+    assert stacked.shape == single.shape
+    assert np.abs(stacked - single).max() <= 1e-14 * np.abs(single).max()
+
+
+@pytest.mark.parametrize("members, spans", [(1, [1]), (7, [3, 3, 1])])
+def test_stacks_match_single_coefficients(mesh_coarse, sigma, monkeypatch, members, spans):
+    mesh = mesh_coarse
+    n, n_ring = mesh.n_interface_nodes, mesh.n_interface_nodes + mesh.n_boundary_nodes
+    monkeypatch.setattr(fem, "_STACK_BYTES", 3 * 8 * n * n)  # three matrices per stack
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((mesh.n_boundary_nodes, 3))
+    F = rng.standard_normal((n, 2))
+    for gamma in _stacks(mesh, members):
+        whole = condensed_matrix(mesh, sigma, gamma)
+        assert whole.shape == (members, n, n)
+        seen = []
+        for span, system in fem.assemble_stacks(mesh, sigma, gamma):
+            seen.append(span.stop - span.start)
+            forms = ri.nd_form_matrix(system, 4).matrix
+            own = rng.standard_normal((len(forms), mesh.n_boundary_nodes, 2))  # one load per member
+            for i, member in enumerate(range(span.start, span.stop)):
+                single = ri.assemble_system(mesh, sigma, _member(gamma, member))
+                _assert_same(system.matrix[i], single.matrix)
+                _assert_same(whole[member], single.matrix)
+                for solve, load in (
+                    (ri.solve_forward, G),
+                    (ri.solve_adjoint, G),
+                    (ri.solve_interface_source, F),
+                ):
+                    _assert_same(solve(system, load)[i], solve(single, load))
+                    _assert_same(solve(system, load[:, 0])[i], solve(single, load[:, :1]))
+                _assert_same(ri.solve_forward(system, own)[i], ri.solve_forward(single, own[i]))
+                _assert_same(forms[i], ri.nd_form_matrix(single, 4).matrix)
+            assert ri.solve_forward(system, G[:, 0]).shape == (len(forms), n_ring, 1)
+        assert seen == spans
+
+
+def test_assemble_stacks_takes_stacks_only(mesh_coarse, sigma):
+    with pytest.raises(ri.ParameterError):
+        next(fem.assemble_stacks(mesh_coarse, sigma, np.ones(mesh_coarse.n_interface_nodes)))
+    with pytest.raises(ri.CoercivityError):  # every member must be coercive
+        gamma = np.ones((3, mesh_coarse.n_interface_nodes))
+        gamma[2, 5] = 0.0
+        next(fem.assemble_stacks(mesh_coarse, sigma, gamma))

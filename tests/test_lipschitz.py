@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import robininv as ri
+from robininv import fem
 from robininv.lipschitz import (
     build_gamma_km,
     compute_gkm,
@@ -152,3 +153,30 @@ def test_verify_stability_samples(full_report, mesh_mid, sigma):
         assert s.ratio == pytest.approx(s.diff_inf / s.nd_diff_norm)
     # empirical Lipschitz ratios stay below the proof constant with margin
     assert max(s.ratio for s in samples) <= 1.05 * report.G
+
+
+def test_lockstep_runs_match_single_runs(mesh_coarse, sigma, monkeypatch):
+    part = ri.interface_partition(mesh_coarse, 4)
+    n = mesh_coarse.n_interface_nodes
+    monkeypatch.setattr(fem, "_STACK_BYTES", 6 * 8 * n * n)  # stacks of 6, 6, 6 and 2
+    report = ri.lipschitz_constant(mesh_coarse, sigma, 1.0, 2.0, part)
+    assert len(report.entries) == 20
+    singles = [compute_gkm(mesh_coarse, sigma, e.k, e.m, 1.0, 2.0, part) for e in report.entries]
+    assert [e.iterations for e in report.entries] == [r.iterations for r in singles]
+    assert [e.achieved for e in report.entries] == [r.achieved for r in singles]
+    G = max(float(r.g @ (mesh_coarse.boundary_mass @ r.g)) for r in singles if r.achieved)
+    assert report.G == pytest.approx(G, rel=1e-9)
+
+
+def test_verify_stability_draws_the_sample_pair_sequence(full_report, mesh_mid, sigma):
+    report, part = full_report
+    samples = ri.verify_stability(report, mesh_mid, sigma, 10, seed=3)
+    rng = np.random.default_rng(3)
+    for sample in samples:
+        v1, v2 = sample_pair(rng, part.n_arcs, 1.0, 2.0)
+        assert np.array_equal(sample.gamma1, v1) and np.array_equal(sample.gamma2, v2)
+        F1, F2 = (
+            ri.nd_form_matrix(ri.assemble_system(mesh_mid, sigma, ri.ArcwiseGamma(part, v)), 16)
+            for v in (v1, v2)
+        )
+        assert sample.nd_diff_norm == pytest.approx(ri.operator_norm_diff(F1, F2), rel=1e-12)

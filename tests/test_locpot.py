@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import robininv as ri
-from robininv.locpot import arc_edge_mask, arc_integral_sq, arc_lengths, indicator_nodal
+from robininv.locpot import (
+    arc_edge_mask,
+    arc_integral_sq,
+    arc_lengths,
+    cgne_lockstep,
+    indicator_nodal,
+)
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +192,35 @@ def test_localization_ratio_grows(system_unit):
 
     ri.cgne_solve(system_unit, target, watch, 40)
     assert ratios[-1] >= 10.0 * ratios[0]
+
+
+def test_lockstep_members_stop_on_their_own(mesh_coarse, sigma):
+    part = ri.interface_partition(mesh_coarse, 4)
+    gammas = ri.ArcwiseGamma(part, [[1.0] * 4, [0.5, 2.0, 1.0, 3.0], [2.0] * 4, [1.0, 3.0, 1.0, 3.0]])
+    system = ri.assemble_system(mesh_coarse, sigma, gammas)
+    theta = mesh_coarse.interface_theta
+    targets = np.stack([
+        np.cos(theta),  # stop test holds at the start
+        np.zeros_like(theta),  # zero residual: stagnation at iteration 1
+        4.0 * indicator_nodal(part, 0),  # never stopped: max_iter
+        np.sin(theta),  # stop test holds after a few iterations
+    ])
+
+    def tol(value):
+        return lambda _it, res, _u, _g: res <= value
+
+    stops = [lambda *a: True, lambda *a: False, lambda *a: False, tol(1e-2)]
+    results = cgne_lockstep(system, targets, stops, max_iter=8)
+    assert [r.stopped_by for r in results] == ["stop test", "stagnation", "max_iter", "stop test"]
+    assert [r.achieved for r in results] == [True, False, False, True]
+    assert results[0].iterations == results[1].iterations == 0
+    assert results[2].iterations == 8 and 0 < results[3].iterations < 8
+    for i, result in enumerate(results):
+        single = ri.cgne_solve(system.members(i), targets[i], stops[i], 8)
+        assert (single.iterations, single.achieved, single.stopped_by) == (
+            result.iterations, result.achieved, result.stopped_by
+        )
+        assert np.allclose(single.residual_history, result.residual_history, rtol=1e-12, atol=0)
+        assert np.abs(single.g - result.g).max() <= 1e-12 * max(np.abs(single.g).max(), 1.0)
+    with pytest.raises(ri.ParameterError):  # one target per member
+        cgne_lockstep(system, targets[:3], stops[:3], 8)
