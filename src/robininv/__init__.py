@@ -10,7 +10,6 @@ from .fem import (
     boundary_l2,
     boundary_norm,
     interface_l2,
-    interface_norm,
     nodal_field,
     oracle_boundary_trace,
     oracle_interface_trace,

@@ -113,6 +113,16 @@ def check_ranges(cfg: ExperimentConfig, where: str) -> None:
             raise ParameterError(f"{where}: {message}")
 
 
+def check_basis_fits(cfg: ExperimentConfig) -> None:
+    """The ND basis of 2 n_modes + 1 functions must fit on the n_theta boundary nodes.
+
+    Only the drivers that form ND matrices need this, so it is not in
+    :func:`check_ranges`; they call it before they compute or write anything.
+    """
+    if 2 * cfg.n_modes + 1 > cfg.n_theta:
+        raise ParameterError(f"n_modes must satisfy 2 * n_modes + 1 <= n_theta = {cfg.n_theta}")
+
+
 def parse_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
     kinds = get_type_hints(ExperimentConfig)  # key -> int, float or str
@@ -242,6 +252,7 @@ def cmd_forward(cfg, out):
 
 
 def cmd_ndmap(cfg, out):
+    check_basis_fits(cfg)
     mesh, sigma = _mesh_sigma(cfg)
     gamma = gamma_selector(cfg.gamma_true, mesh.interface_theta)
     form = nd_form_matrix(assemble_system(mesh, sigma, gamma), cfg.n_modes)
@@ -323,6 +334,7 @@ def cmd_locpot(cfg, out):
 
 
 def cmd_lipschitz(cfg, out):
+    check_basis_fits(cfg)
     mesh, sigma = _mesh_sigma(cfg)
     partition = interface_partition(mesh, cfg.partition_m)
     report = lipschitz_constant(mesh, sigma, cfg.a, cfg.b, partition, cfg.cgne_max_iter)

@@ -8,8 +8,9 @@ interface (source used by the Runge/localized-potential machinery).
 Once per (mesh, sigma) the stiffness is condensed onto the interface nodes;
 each gamma then adds its Robin term to that small dense matrix. On a mesh
 that one theta step maps onto itself, as every mesh from
-``generate_disk_mesh`` is, the condensation is a Fourier transform in theta
-and needs numpy only. Other meshes factor their sparse interior with scipy.
+``generate_disk_mesh`` is, also after a save and load, the condensation is
+a Fourier transform in theta and needs numpy only. Other meshes factor
+their sparse interior with scipy.
 
 A coefficient may be a stack of s coefficients on the same (mesh, sigma):
 nodal values (s, n_Gamma) or an :class:`ArcwiseGamma` with values (s, M).
@@ -98,7 +99,7 @@ def _gamma_edge_values(mesh: Mesh, gamma, xi: np.ndarray) -> np.ndarray:
     """Evaluate gamma at the points xi of every interface edge: (..., n_edges, len(xi))."""
     gamma = _gamma_values(mesh, gamma)
     if isinstance(gamma, ArcwiseGamma):
-        return gamma.at_edge_points(len(mesh.interface_edges), xi)
+        return gamma.at_edge_points(mesh.n_interface_nodes, xi)
     g1 = gamma.take(mesh.interface_next, axis=-1)
     return gamma[..., None] * (1.0 - xi) + g1[..., None] * xi
 
@@ -213,22 +214,22 @@ def _triangle_keys(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
 def _theta_wedge(mesh: Mesh) -> np.ndarray | None:
     """The triangles of one theta wedge, if one theta step maps the mesh onto itself; else None.
 
-    The mesh must have the node layout of :func:`generate_disk_mesh` (the
-    center, then whole rings of n_theta nodes in theta order): turned by
-    2 pi / n_theta, the nodes must land on ``nodes[theta_step]``, the
-    triangles and their regions must map onto themselves, and the interface
-    and the boundary must each be one whole ring. The wedge holds the
-    triangles whose ring nodes sit at theta positions 0 and 1; turning it
-    n_theta times must give every triangle once.
+    With n_theta nodes on the interface, the mesh must have the node layout
+    of :func:`generate_disk_mesh` (the center, then whole rings of n_theta
+    nodes in theta order): turned by 2 pi / n_theta, node p must land on
+    node step[p], which is the center for the center and the next node of
+    its ring otherwise; the triangles and their regions must map onto
+    themselves, and the interface and the boundary must each be one whole
+    ring. The wedge holds the triangles whose ring nodes sit at theta
+    positions 0 and 1; turning it n_theta times must give every triangle once.
     """
-    step = mesh.theta_step
-    if step is None:
-        return None
-    n = mesh.params[2]
+    n = mesh.n_interface_nodes
     if (mesh.n_nodes - 1) % n or any(
         _layout_ring(nodes, n) is None for nodes in (mesh.interface_nodes, mesh.boundary_nodes)
     ):
         return None
+    k = np.arange(mesh.n_nodes - 1)
+    step = np.concatenate([[0], 1 + k - k % n + (k + 1) % n])
     cos, sin = np.cos(2.0 * np.pi / n), np.sin(2.0 * np.pi / n)
     turned = mesh.nodes @ np.array([[cos, sin], [-sin, cos]])
     scale = np.abs(mesh.nodes).max()
@@ -256,7 +257,7 @@ def _fourier_schur(mesh: Mesh, sigma: Conductivity, wedge: np.ndarray):
     is one node: it enters mode 0 only, as a ring of n_theta copies of itself.
     One stacked solve eliminates the interior rings of every mode at once.
     """
-    n = mesh.params[2]
+    n = mesh.n_interface_nodes
     n_rings = (mesh.n_nodes - 1) // n
     tri = mesh.triangles[wedge]
     ring = np.where(tri > 0, (tri - 1) // n + 1, 0)  # ring 0 is the center
@@ -292,7 +293,7 @@ def _fourier_schur(mesh: Mesh, sigma: Conductivity, wedge: np.ndarray):
 def _sparse_schur(mesh: Mesh, sigma: Conductivity):
     """S as a dense matrix and the interior map, through a sparse LU of K_II.
 
-    For meshes without the theta symmetry (loaded or moved nodes): S is
+    For meshes without the theta symmetry (moved nodes, another layout): S is
     formed a block of ring columns at a time, so no dense K_II^-1 K_IR is held.
     """
     import scipy.sparse as sp
@@ -531,10 +532,6 @@ def interface_l2(system: SparseSystem, f1, f2) -> float:
 def boundary_l2(system: SparseSystem, g1, g2) -> float:
     """Discrete L2(dOmega) inner product."""
     return _curve_l2(system.mesh.boundary_mass, g1, g2)
-
-
-def interface_norm(system: SparseSystem, f) -> float:
-    return np.sqrt(max(interface_l2(system, f, f), 0.0))
 
 
 def boundary_norm(system: SparseSystem, g) -> float:

@@ -155,12 +155,16 @@ def runge_approximate(system: SparseSystem, f, tol: float, max_iter: int) -> Cgn
     return cgne_solve(system, f, stop, max_iter)
 
 
-def arc_integral_sq(system: SparseSystem, u_iface, edge_mask: np.ndarray) -> float:
-    """int over the masked edges of u^2 ds, exact for piecewise-linear u."""
+def edge_integrals_sq(system: SparseSystem, u_iface) -> np.ndarray:
+    """int over every interface edge of u^2 ds, exact for piecewise-linear u."""
     a = np.asarray(u_iface, dtype=float)
     b = a[system.mesh.interface_next]
-    per_edge = system.mesh.interface_edge_lengths * (a * a + a * b + b * b) / 3.0
-    return float(per_edge[edge_mask].sum())
+    return system.mesh.interface_edge_lengths * (a * a + a * b + b * b) / 3.0
+
+
+def arc_integral_sq(system: SparseSystem, u_iface, edge_mask: np.ndarray) -> float:
+    """int over the masked edges of u^2 ds, exact for piecewise-linear u."""
+    return float(edge_integrals_sq(system, u_iface)[edge_mask].sum())
 
 
 def arc_edge_mask(partition: PartitionSpec, arcs) -> np.ndarray:
@@ -207,11 +211,12 @@ def localized_potential(
     state = {"scale": None, "ratio": None}
 
     def stop(_it, _res, u_trace, _g):
-        off = arc_integral_sq(system, u_trace, ~mask)
+        per_edge = edge_integrals_sq(system, u_trace)
+        off = float(per_edge[~mask].sum())
         if off <= 0.0:
             return False
         scale = off**0.25
-        on_scaled = arc_integral_sq(system, u_trace, mask) / np.sqrt(off)
+        on_scaled = float(per_edge[mask].sum()) / np.sqrt(off)
         off_scaled = np.sqrt(off)
         state["scale"] = scale
         state["ratio"] = on_scaled / off_scaled

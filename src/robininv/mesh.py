@@ -33,15 +33,14 @@ class Mesh:
     triangles: (T, 3) node indices, counter-clockwise.
     regions: (T,) tags, 1 = inner disk, 2 = annulus.
     interface_nodes / boundary_nodes: ring node indices in cyclic theta order.
+
+    The rest is derived from these six on first use and kept, so a copy with
+    other nodes (``dataclasses.replace``) derives its own:
     interface_edges / boundary_edges: (E, 2) index pairs; edge e connects ring
         position e to position (e + 1) % E.
     h: maximum edge length.
     interface_mass / boundary_mass: P1 mass matrices of L2(Gamma) and
-        L2(dOmega) in ring positions, dense and read-only, built on first use.
-    params: (n_r_inner, n_r_outer, n_theta) of a mesh from
-        :func:`generate_disk_mesh`, empty otherwise; with them ``theta_step``
-        knows the node layout, and ``fem`` condenses by a Fourier transform
-        in theta.
+        L2(dOmega) in ring positions, dense and read-only.
     cache: filled on first use, it lives and dies with the mesh. Per
         conductivity, ``fem`` keeps the gamma-free part of the Galerkin
         system: the stiffness condensed onto the interface nodes, the maps
@@ -58,10 +57,6 @@ class Mesh:
     regions: np.ndarray
     interface_nodes: np.ndarray
     boundary_nodes: np.ndarray
-    interface_edges: np.ndarray
-    boundary_edges: np.ndarray
-    h: float
-    params: tuple = field(default=())
     cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -83,6 +78,19 @@ class Mesh:
     @property
     def boundary_theta(self) -> np.ndarray:
         return self.node_angle[self.boundary_nodes]
+
+    @cached_property
+    def interface_edges(self) -> np.ndarray:
+        return _ring_edges(self.interface_nodes)
+
+    @cached_property
+    def boundary_edges(self) -> np.ndarray:
+        return _ring_edges(self.boundary_nodes)
+
+    @cached_property
+    def h(self) -> float:
+        p = self.nodes[self.triangles]
+        return float(np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max())
 
     @cached_property
     def interface_edge_lengths(self) -> np.ndarray:
@@ -107,32 +115,16 @@ class Mesh:
         """Ring position e - 1 (cyclic) for every interface position e: the edge that ends at e."""
         return _read_only(np.roll(np.arange(self.n_interface_nodes), 1))
 
-    @cached_property
-    def theta_step(self) -> np.ndarray | None:
-        """Node permutation that turns a structured polar mesh by one theta step.
-
-        Node p moves to node theta_step[p]: the center stays, every ring node
-        moves one position on its ring. None if the mesh does not come from
-        :func:`generate_disk_mesh`, whose node layout this relies on.
-        """
-        if not self.params:
-            return None
-        n_theta = self.params[2]
-        k = np.arange(self.n_nodes - 1)
-        return np.concatenate([[0], 1 + k - k % n_theta + (k + 1) % n_theta])
-
 
 @dataclass(frozen=True)
 class PartitionSpec:
     """Partition of the interface circle into M contiguous arcs.
 
     arc_of_edge maps each interface-edge index to an arc index in 0..M-1.
-    arc_bounds holds the M+1 angular break points.
     """
 
     n_arcs: int
     arc_of_edge: np.ndarray
-    arc_bounds: np.ndarray
 
     @property
     def node_arc(self) -> np.ndarray:
@@ -141,11 +133,6 @@ class PartitionSpec:
         Node e is shared by edge e - 1 and edge e (cyclic).
         """
         return np.minimum(np.roll(self.arc_of_edge, 1), self.arc_of_edge)
-
-    def edges_of_arc(self, m: int) -> np.ndarray:
-        if not 0 <= m < self.n_arcs:
-            raise ParameterError(f"arc index {m} out of range 0..{self.n_arcs - 1}")
-        return np.nonzero(self.arc_of_edge == m)[0]
 
 
 def generate_disk_mesh(n_r_inner: int, n_r_outer: int, n_theta: int) -> Mesh:
@@ -185,22 +172,13 @@ def generate_disk_mesh(n_r_inner: int, n_r_outer: int, n_theta: int) -> Mesh:
     band_tag = np.where(np.arange(2, n_rings + 1) <= n_r_inner, 1, 2)
     regions = np.concatenate([np.ones(n_theta, dtype=np.int64), np.repeat(band_tag, 2 * n_theta)])
 
-    interface_nodes = ring[n_r_inner - 1]
-    boundary_nodes = ring[-1]
-    interface_edges = np.column_stack([interface_nodes, ring_next[n_r_inner - 1]])
-    boundary_edges = np.column_stack([boundary_nodes, ring_next[-1]])
-
     return Mesh(
         nodes=nodes,
         node_angle=angle,
         triangles=triangles,
         regions=regions,
-        interface_nodes=interface_nodes,
-        boundary_nodes=boundary_nodes,
-        interface_edges=interface_edges,
-        boundary_edges=boundary_edges,
-        h=_max_edge_length(nodes, triangles),
-        params=(n_r_inner, n_r_outer, n_theta),
+        interface_nodes=ring[n_r_inner - 1],
+        boundary_nodes=ring[-1],
     )
 
 
@@ -210,19 +188,17 @@ def interface_partition(mesh: Mesh, n_arcs: int) -> PartitionSpec:
     Each edge is assigned by its midpoint angle; every arc ends up with at
     least one edge because the arc width is no smaller than the edge spacing.
     """
-    n_edges = len(mesh.interface_edges)
+    n_edges = mesh.n_interface_nodes
     if n_arcs < 1 or n_arcs > n_edges:
         raise ParameterError(f"n_arcs must be in 1..{n_edges}, got {n_arcs}")
     width = 2.0 * np.pi / n_arcs
     theta = mesh.interface_theta
     mid = theta + 0.5 * (2.0 * np.pi / n_edges)
     arc_of_edge = np.minimum((mid // width).astype(np.int64), n_arcs - 1)
-    bounds = width * np.arange(n_arcs + 1)
-    spec = PartitionSpec(n_arcs=n_arcs, arc_of_edge=arc_of_edge, arc_bounds=bounds)
     counts = np.bincount(arc_of_edge, minlength=n_arcs)
     if (counts == 0).any():
         raise ParameterError("partition produced an empty arc")
-    return spec
+    return PartitionSpec(n_arcs=n_arcs, arc_of_edge=arc_of_edge)
 
 
 def triangle_areas(mesh: Mesh) -> np.ndarray:
@@ -251,9 +227,9 @@ def _curve_mass(length: np.ndarray) -> np.ndarray:
     return _read_only(M)
 
 
-def _max_edge_length(nodes: np.ndarray, triangles: np.ndarray) -> float:
-    p = nodes[triangles]
-    return float(np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max())
+def _ring_edges(ring: np.ndarray) -> np.ndarray:
+    """Read-only (E, 2) edges of a closed ring: position e to position (e + 1) % E."""
+    return _read_only(np.column_stack([ring, np.roll(ring, -1)]))
 
 
 def save_mesh(mesh: Mesh, path) -> None:
@@ -342,8 +318,5 @@ def load_mesh(path) -> Mesh:
         regions=regions,
         interface_nodes=interface_edges[:, 0].copy(),
         boundary_nodes=boundary_edges[:, 0].copy(),
-        interface_edges=interface_edges,
-        boundary_edges=boundary_edges,
-        h=_max_edge_length(nodes, triangles),
     )
 

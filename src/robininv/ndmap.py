@@ -121,6 +121,13 @@ def check_monotonicity(system1: SparseSystem, system2: SparseSystem, n_modes: in
     return float(_difference_eigenvalues(F1, F2).min())
 
 
+def _shared_mesh(system1: SparseSystem, system2: SparseSystem):
+    """The mesh of both systems; the identities compare two coefficients on one mesh."""
+    if system1.mesh is not system2.mesh:
+        raise ParameterError("systems must share a mesh")
+    return system1.mesh
+
+
 def monotonicity_estimate_check(system1: SparseSystem, system2: SparseSystem, g):
     """The three quantities of the two-sided monotonicity estimate.
 
@@ -131,9 +138,7 @@ def monotonicity_estimate_check(system1: SparseSystem, system2: SparseSystem, g)
     all evaluated with the assembly quadrature so lhs >= mid >= rhs holds for
     the Galerkin solutions up to rounding.
     """
-    mesh = system1.mesh
-    if mesh is not system2.mesh and mesh.n_nodes != system2.mesh.n_nodes:
-        raise ParameterError("systems must share a mesh")
+    mesh = _shared_mesh(system1, system2)
     u1 = solve_forward(system1, g)
     u2 = solve_forward(system2, g)
     g1q = gamma_at_quadrature(system1)
@@ -153,7 +158,7 @@ def alessandrini_residual(system1: SparseSystem, system2: SparseSystem, g, h) ->
     | int h (Lambda(g2) - Lambda(g1)) g - int_Gamma (g1 - g2) u1^h u2^g | / scale.
     Zero for Galerkin solutions up to solver tolerance.
     """
-    mesh = system1.mesh
+    mesh = _shared_mesh(system1, system2)
     u1h = solve_forward(system1, h)
     u2g = solve_forward(system2, g)
     lhs = boundary_l2(system1, h, trace_boundary(mesh, u2g)) - boundary_l2(

@@ -17,7 +17,6 @@ from .fem import (
     GAUSS_SHAPE,
     GAUSS_W,
     Conductivity,
-    SparseSystem,
     assemble_system,
     interface_fn_at_quadrature,
     interface_l2,
@@ -81,31 +80,34 @@ def add_noise(data: DataSet, eps: float, seed: int) -> DataSet:
     return DataSet(fluxes=list(data.fluxes), measurements=noisy, noise_level=eps, seed=seed)
 
 
-def _misfit(system: SparseSystem, data: DataSet, lam: float):
-    """Cost J of the system's gamma, plus the states and residuals its gradient reuses.
+def _evaluate(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float):
+    """J(gamma), and a function that returns the covector of its derivative:
+    dJ(gamma; ghat) = ghat @ covector().
 
-    States and residuals hold one column per flux; all fluxes share one solve.
+    All fluxes share one forward solve, and the covector costs one adjoint
+    solve on the same system, states and residuals, which live as long as
+    the function does.
     """
+    system = assemble_system(mesh, sigma, gamma)
     states = solve_forward(system, np.column_stack(data.fluxes))
-    residuals = trace_boundary(system.mesh, states) - np.column_stack(data.measurements)
-    J_data = 0.5 * float(np.sum(residuals * (system.mesh.boundary_mass @ residuals)))
-    gamma = np.asarray(system.gamma, dtype=float)
-    return J_data + 0.5 * lam * interface_l2(system, gamma, gamma), states, residuals
+    residuals = trace_boundary(mesh, states) - np.column_stack(data.measurements)
+    J_data = 0.5 * float(np.sum(residuals * (mesh.boundary_mass @ residuals)))
+    gamma = np.asarray(gamma, dtype=float)
+    J = J_data + 0.5 * lam * interface_l2(system, gamma, gamma)
 
+    def covector() -> np.ndarray:
+        adjoints = solve_adjoint(system, residuals)
+        uq = interface_fn_at_quadrature(mesh, trace_interface(mesh, states))
+        vq = interface_fn_at_quadrature(mesh, trace_interface(mesh, adjoints))
+        # sum over fluxes of u v at the edge Gauss points, times the rule's weights
+        uvw = (uq * vq).sum(axis=2) * GAUSS_W * mesh.interface_edge_lengths[:, None]
+        # d/dgamma_n of the assembled Robin term, paired with u and v: edge e
+        # feeds its first node e and its second node e + 1
+        contrib = uvw @ GAUSS_SHAPE.T  # (E, local node)
+        robin = contrib[:, 0] + contrib[mesh.interface_prev, 1]
+        return robin + lam * (mesh.interface_mass @ gamma)
 
-def _covector(system: SparseSystem, states, residuals, lam: float) -> np.ndarray:
-    """Exact discrete derivative dJ(gamma; ghat) = ghat @ covector, from one adjoint solve."""
-    mesh = system.mesh
-    adjoints = solve_adjoint(system, residuals)
-    uq = interface_fn_at_quadrature(mesh, trace_interface(mesh, states))
-    vq = interface_fn_at_quadrature(mesh, trace_interface(mesh, adjoints))
-    # sum over fluxes of u v at the edge Gauss points, times the rule's weights
-    uvw = (uq * vq).sum(axis=2) * GAUSS_W * mesh.interface_edge_lengths[:, None]
-    # d/dgamma_n of the assembled Robin term, paired with u and v: edge e feeds
-    # its first node e and its second node e + 1
-    contrib = uvw @ GAUSS_SHAPE.T  # (E, local node)
-    covector = contrib[:, 0] + contrib[mesh.interface_prev, 1]
-    return covector + lam * (mesh.interface_mass @ np.asarray(system.gamma, dtype=float))
+    return J, covector
 
 
 def _riesz_map(mesh: Mesh):
@@ -124,14 +126,12 @@ def _update_inverse_hessian(H: np.ndarray, s: np.ndarray, y: np.ndarray, rho: fl
 
 
 def cost(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float = 0.0) -> float:
-    return _misfit(assemble_system(mesh, sigma, gamma), data, lam)[0]
+    return _evaluate(mesh, sigma, gamma, data, lam)[0]
 
 
 def gradient(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float = 0.0) -> np.ndarray:
     """Riesz representer of the cost derivative in the interface mass inner product."""
-    system = assemble_system(mesh, sigma, gamma)
-    _, states, residuals = _misfit(system, data, lam)
-    return _riesz_map(mesh)(_covector(system, states, residuals, lam))
+    return _riesz_map(mesh)(_evaluate(mesh, sigma, gamma, data, lam)[1]())
 
 
 def bfgs_minimize(
@@ -159,20 +159,10 @@ def bfgs_minimize(
     n = len(x)
     riesz = _riesz_map(mesh)
 
-    def evaluate(gamma):
-        """Cost of gamma, and the system, states and residuals its gradient reuses."""
-        system = assemble_system(mesh, sigma, gamma)
-        J, states, residuals = _misfit(system, data, lam)
-        return J, (system, states, residuals)
-
-    def gradient_at(evaluation):
-        """Covector and representer: one adjoint solve on the evaluated system."""
-        covector = _covector(*evaluation, lam)
-        return covector, riesz(covector)
-
-    J, evaluation = evaluate(x)
-    grad, rep = gradient_at(evaluation)
-    del evaluation  # no factor is kept alive while the next line search runs
+    J, covector_at = _evaluate(mesh, sigma, x, data, lam)
+    grad = covector_at()
+    rep = riesz(grad)
+    del covector_at  # no factor is kept alive while the next line search runs
     grad_inf = float(np.abs(rep).max())
     gtol = opts.gtol if opts.gtol is not None else GTOL_REL * grad_inf
     H = np.eye(n)
@@ -195,7 +185,7 @@ def bfgs_minimize(
                 state.status = "stalled"
                 return state
             cand = np.clip(x + step * d, opts.c0, opts.c1)
-            J_cand, evaluation = evaluate(cand)
+            J_cand, covector_at = _evaluate(mesh, sigma, cand, data, lam)
             if J_cand <= J + ARMIJO_C * step * slope:
                 accepted = True
                 break
@@ -203,8 +193,9 @@ def bfgs_minimize(
         if not accepted:
             state.status = "line_search_failure"
             return state
-        grad_new, rep_new = gradient_at(evaluation)
-        del evaluation
+        grad_new = covector_at()
+        rep_new = riesz(grad_new)
+        del covector_at
         s = cand - x
         y = grad_new - grad
         sy = float(s @ y)

@@ -226,6 +226,19 @@ def test_range_errors_stop_before_any_output(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_basis_larger_than_the_boundary_stops_before_any_csv(tmp_path, capsys):
+    # the default n_modes = 16 needs 33 boundary nodes; n_theta = 32 has 32.
+    # Only the drivers that form ND matrices reject it, before any CGNE run
+    cfg = write_config(tmp_path, COARSE)
+    for sub in ("lipschitz", "ndmap"):
+        out = tmp_path / sub
+        assert cli.main([sub, "--config", cfg, "--out", str(out)]) == 1
+        assert "n_modes must" in capsys.readouterr().err
+        assert not list(out.glob("*.csv"))
+    cfg = write_config(tmp_path, COARSE.replace("max_iter = 60", "max_iter = 1"))
+    assert cli.main(["example1", "--config", cfg, "--out", str(tmp_path / "ex1")]) == 0
+
+
 def test_range_bounds_accepted(tmp_path):
     cfg = cli.parse_config(write_config(tmp_path, f"seed = {2**64 - 1}\nmax_iter = 0\ngtol = 0\n"))
     assert (cfg.seed, cfg.max_iter, cfg.gtol) == (2**64 - 1, 0, 0.0)

@@ -426,19 +426,22 @@ def test_cached_gamma_free_part_matches_fresh_assembly(sigma):
 
 
 def test_schur_without_rotational_symmetry_matches_dense(sigma, tmp_path):
-    # a generated mesh condenses by a Fourier transform in theta; moving one
-    # interior node, or losing the layout on a save and load, leaves the
-    # sparse path
+    # a generated mesh condenses by a Fourier transform in theta, and so does
+    # its saved and loaded copy; moving one interior node leaves the sparse
+    # path, also after a save and load
     mesh = ri.generate_disk_mesh(2, 2, 32)
     assert len(fem._theta_wedge(mesh)) * 32 == len(mesh.triangles)
     nodes = mesh.nodes.copy()
     nodes[0] += 1e-3  # the center
     moved = dataclasses.replace(mesh, nodes=nodes)
     ri.save_mesh(mesh, tmp_path / "mesh.txt")
-    loaded = ri.load_mesh(tmp_path / "mesh.txt")
-    assert loaded.theta_step is None
+    ri.save_mesh(moved, tmp_path / "moved.txt")
+    loaded, loaded_moved = (ri.load_mesh(tmp_path / name) for name in ("mesh.txt", "moved.txt"))
     gamma = 1.0 + 0.5 * np.cos(mesh.interface_theta)
-    for other in (moved, loaded):
+    assert np.array_equal(fem._theta_wedge(loaded), fem._theta_wedge(mesh))
+    A = condensed_matrix(mesh, sigma, gamma)
+    assert np.abs(condensed_matrix(loaded, sigma, gamma) - A).max() <= 1e-13 * np.abs(A).max()
+    for other in (moved, loaded_moved):
         K = stiffness_matrix(other, sigma)
         assert fem._theta_wedge(other) is None
         A = condensed_matrix(other, sigma, gamma)

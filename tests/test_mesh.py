@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import robininv as ri
-from robininv import cli
+from robininv import cli, fem
 from robininv.mesh import edge_lengths, triangle_areas
 
 
@@ -103,23 +105,36 @@ def test_partition_too_many_arcs(mesh_coarse):
         ri.interface_partition(mesh_coarse, len(mesh_coarse.interface_edges) + 1)
 
 
-def test_mesh_io_roundtrip(tmp_path, mesh_coarse, sigma):
-    path = tmp_path / "mesh.txt"
-    ri.save_mesh(mesh_coarse, path)
-    m2 = ri.load_mesh(path)
-    assert np.allclose(m2.nodes, mesh_coarse.nodes)
-    assert np.array_equal(m2.triangles, mesh_coarse.triangles)
-    assert np.array_equal(m2.regions, mesh_coarse.regions)
-    assert np.array_equal(m2.interface_edges, mesh_coarse.interface_edges)
-    assert np.array_equal(m2.boundary_edges, mesh_coarse.boundary_edges)
-    assert np.allclose(m2.node_angle, mesh_coarse.node_angle)
-    # %.17g round-trips every coordinate, so both meshes give the same solution
-    assert np.array_equal(m2.nodes, mesh_coarse.nodes) and m2.h == mesh_coarse.h
-    g = np.cos(mesh_coarse.boundary_theta)
-    gamma = np.full(mesh_coarse.n_interface_nodes, 2.0)
-    u = ri.solve_forward(ri.assemble_system(mesh_coarse, sigma, gamma), g)
-    v = ri.solve_forward(ri.assemble_system(m2, sigma, gamma), g)
-    assert np.abs(u - v).max() <= 1e-12 * np.abs(u).max()
+def test_mesh_io_roundtrip(tmp_path, mesh_coarse, mesh_mid, sigma):
+    for mesh in (mesh_coarse, mesh_mid):
+        path = tmp_path / "mesh.txt"
+        ri.save_mesh(mesh, path)
+        m2 = ri.load_mesh(path)
+        assert np.array_equal(m2.triangles, mesh.triangles)
+        assert np.array_equal(m2.regions, mesh.regions)
+        assert np.array_equal(m2.interface_edges, mesh.interface_edges)
+        assert np.array_equal(m2.boundary_edges, mesh.boundary_edges)
+        assert np.abs(m2.node_angle - mesh.node_angle).max() <= 1e-12
+        # %.17g round-trips every coordinate, so both meshes give the same
+        # solution, on the same theta-Fourier path
+        assert np.array_equal(m2.nodes, mesh.nodes) and m2.h == mesh.h
+        wedge = fem._theta_wedge(m2)
+        assert wedge is not None and np.array_equal(wedge, fem._theta_wedge(mesh))
+        g = np.cos(mesh.boundary_theta)
+        gamma = np.full(mesh.n_interface_nodes, 2.0)
+        u = ri.solve_forward(ri.assemble_system(mesh, sigma, gamma), g)
+        v = ri.solve_forward(ri.assemble_system(m2, sigma, gamma), g)
+        assert np.abs(u - v).max() <= 1e-12 * np.abs(u).max()
+
+
+def test_copy_with_moved_nodes_derives_its_own_h(mesh_coarse):
+    nodes = mesh_coarse.nodes.copy()
+    nodes[0] += 0.1  # the center
+    moved = dataclasses.replace(mesh_coarse, nodes=nodes)
+    p = nodes[moved.triangles]
+    longest = np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2).max()
+    assert moved.h == longest > mesh_coarse.h + 0.05
+    assert np.array_equal(moved.interface_edges, mesh_coarse.interface_edges)
 
 
 def test_mesh_io_rejects_other_files(tmp_path):

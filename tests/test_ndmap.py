@@ -178,6 +178,26 @@ def test_estimate_chain_random_sweep(mesh_coarse, sigma):
         assert mid >= rhs - 1e-8 * scale
 
 
+@pytest.mark.parametrize(
+    "verify",
+    [
+        lambda s1, s2, g: ri.monotonicity_estimate_check(s1, s2, g),
+        lambda s1, s2, g: ri.alessandrini_residual(s1, s2, g, g),
+    ],
+    ids=["monotonicity_estimate_check", "alessandrini_residual"],
+)
+def test_identity_verifiers_reject_two_meshes(verify, system_coarse, mesh_coarse, sigma):
+    # a copy with the center moved has the same node and ring counts
+    nodes = mesh_coarse.nodes.copy()
+    nodes[0] += 0.1
+    moved = dataclasses.replace(mesh_coarse, nodes=nodes)
+    other = make_system(moved, sigma, np.full(moved.n_interface_nodes, 2.0))
+    g = np.cos(mesh_coarse.boundary_theta)
+    for s1, s2 in ((system_coarse, other), (other, system_coarse)):
+        with pytest.raises(ri.ParameterError, match="share a mesh"):
+            verify(s1, s2, g)
+
+
 def test_alessandrini_equal_gammas(system_coarse, mesh_coarse):
     g = np.cos(mesh_coarse.boundary_theta)
     h = np.sin(mesh_coarse.boundary_theta)
