@@ -53,6 +53,7 @@ from .reconstruct import (
     BfgsState,
     DataSet,
     add_noise,
+    bfgs_lockstep,
     bfgs_minimize,
     cost,
     gradient,

@@ -28,7 +28,7 @@ from . import (
     ParameterError,
     add_noise,
     assemble_system,
-    bfgs_minimize,
+    bfgs_lockstep,
     boundary_l2,
     generate_disk_mesh,
     interface_partition,
@@ -100,6 +100,7 @@ def check_ranges(cfg: ExperimentConfig, where: str) -> None:
         (0 <= cfg.seed < 2**64, "seed must be in 0 .. 2**64 - 1"),
         (cfg.max_iter >= 0, "max_iter must be >= 0"),
         (cfg.gtol >= 0, "gtol must be >= 0"),
+        (cfg.reg_lambda >= 0, "reg_lambda must be >= 0"),
         (0 < cfg.c0 < cfg.c1, "c0 and c1 must satisfy 0 < c0 < c1"),
         (0 < cfg.a < cfg.b, "a and b must satisfy 0 < a < b"),
         (cfg.n_r_inner >= 1 and cfg.n_r_outer >= 1, "n_r_inner and n_r_outer must be >= 1"),
@@ -380,19 +381,27 @@ def _true_data(cfg, mesh, sigma):
     )
 
 
-def _run_reconstruction(cfg, mesh, sigma, gamma_true, clean, eps, init_name, seed):
-    data = add_noise(clean, eps, seed) if eps > 0 else clean
+def _run_reconstructions(cfg, mesh, sigma, gamma_true, clean, members):
+    """The BFGS runs of the (eps, gamma_init) members, in lockstep: (state, rel_err) per member."""
+    measurements = [
+        np.column_stack((add_noise(clean, eps, cfg.seed) if eps > 0 else clean).measurements)
+        for eps, _ in members
+    ]
+    starts = [gamma_selector(init, mesh.interface_theta) for _, init in members]
     opts = BfgsOptions(
         gtol=cfg.gtol if cfg.gtol > 0 else None,
         max_iter=cfg.max_iter,
         c0=cfg.c0,
         c1=cfg.c1,
     )
-    gamma_init = gamma_selector(init_name, mesh.interface_theta)
-    state = bfgs_minimize(mesh, sigma, data, cfg.reg_lambda, gamma_init, opts)
+    states = bfgs_lockstep(mesh, sigma, clean.fluxes, measurements, cfg.reg_lambda, starts, opts)
     mass = mesh.interface_mass
-    diff = state.gamma - gamma_true
-    return state, np.sqrt((diff @ (mass @ diff)) / (gamma_true @ (mass @ gamma_true)))
+    results = []
+    for state in states:
+        diff = state.gamma - gamma_true
+        rel_err = np.sqrt((diff @ (mass @ diff)) / (gamma_true @ (mass @ gamma_true)))
+        results.append((state, rel_err))
+    return results
 
 
 def _emit_reconstruction(cfg, out, tag, mesh, state, gamma_true, rel_err):
@@ -424,8 +433,8 @@ def _emit_reconstruction(cfg, out, tag, mesh, state, gamma_true, rel_err):
 def cmd_reconstruct(cfg, out):
     mesh, sigma = _mesh_sigma(cfg)
     gamma_true, clean = _true_data(cfg, mesh, sigma)
-    state, rel_err = _run_reconstruction(
-        cfg, mesh, sigma, gamma_true, clean, cfg.eps, cfg.gamma_init, cfg.seed
+    [(state, rel_err)] = _run_reconstructions(
+        cfg, mesh, sigma, gamma_true, clean, [(cfg.eps, cfg.gamma_init)]
     )
     summary = _emit_reconstruction(cfg, out, "run", mesh, state, gamma_true, rel_err)
     write_text(os.path.join(out, "summary.txt"), summary)
@@ -439,14 +448,12 @@ def _cmd_example(cfg, out, which: str):
     inits = ["expinit", "constant:1"] if which == "example1" else ["constant:1"]
     levels = NOISE_LEVELS if which == "example1" else (0.0, 0.05)
     gamma_true, clean = _true_data(cfg, mesh, sigma)
+    members = [(eps, init) for eps in levels for init in inits]
+    results = _run_reconstructions(cfg, mesh, sigma, gamma_true, clean, members)
     summary = []
-    for eps in levels:
-        for init in inits:
-            tag = f"eps{eps:g}_init_{init.replace(':', '')}"
-            state, rel_err = _run_reconstruction(
-                cfg, mesh, sigma, gamma_true, clean, eps, init, cfg.seed
-            )
-            summary.append(_emit_reconstruction(cfg, out, tag, mesh, state, gamma_true, rel_err))
+    for (eps, init), (state, rel_err) in zip(members, results):
+        tag = f"eps{eps:g}_init_{init.replace(':', '')}"
+        summary.append(_emit_reconstruction(cfg, out, tag, mesh, state, gamma_true, rel_err))
     write_text(os.path.join(out, "summary.txt"), "".join(summary))
     return EXIT_OK
 

@@ -612,13 +612,16 @@ def interface_fn_at_quadrature(mesh: Mesh, f) -> np.ndarray:
     """Piecewise-linear interface function sampled at the edge Gauss points.
 
     f of shape (n,) gives (n_edges, 2); k functions as columns (n, k) give
-    (n_edges, 2, k). Edge e runs from node e to node e + 1.
+    (n_edges, 2, k), and a stack of them (s, n, k) gives (s, n_edges, 2, k).
+    Edge e runs from node e to node e + 1.
     """
     f = np.asarray(f, dtype=float)
-    if len(f) != mesh.n_interface_nodes:
+    axis = 1 if f.ndim == 3 else 0
+    if f.shape[axis] != mesh.n_interface_nodes:
         raise ParameterError("interface function length mismatch")
-    xi = GAUSS_XI.reshape((2,) + (1,) * (f.ndim - 1))
-    return f[:, None] * (1.0 - xi) + f[mesh.interface_next][:, None] * xi
+    xi = GAUSS_XI.reshape((2,) + (1,) * (f.ndim - 1 - axis))
+    f1 = f.take(mesh.interface_next, axis=axis)
+    return np.expand_dims(f, axis + 1) * (1.0 - xi) + np.expand_dims(f1, axis + 1) * xi
 
 
 def gamma_at_quadrature(system: SparseSystem) -> np.ndarray:

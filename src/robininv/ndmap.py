@@ -35,7 +35,8 @@ class NdForm:
     matrix: np.ndarray  # (2*n_modes+1, 2*n_modes+1), or (s, ...) for a system stack
 
     def compatible_with(self, other: "NdForm") -> bool:
-        return self.n_modes == other.n_modes and self.basis.shape == other.basis.shape
+        """Same modes in the same basis values: forms from two boundaries differ in basis."""
+        return self.n_modes == other.n_modes and np.array_equal(self.basis, other.basis)
 
 
 def apply_nd(system: SparseSystem, g) -> np.ndarray:
@@ -112,6 +113,7 @@ def check_monotonicity(system1: SparseSystem, system2: SparseSystem, n_modes: in
     Ordered coefficients must give a positive-semidefinite difference up to
     discretization noise.
     """
+    _shared_mesh(system1, system2)
     g1 = system1.gamma_nodal()
     g2 = system2.gamma_nodal()
     if not np.all(g1 <= g2 + 1e-14):

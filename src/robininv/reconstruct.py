@@ -17,9 +17,10 @@ from .fem import (
     GAUSS_SHAPE,
     GAUSS_W,
     Conductivity,
+    SparseSystem,
+    assemble_stacks,
     assemble_system,
     interface_fn_at_quadrature,
-    interface_l2,
     solve_adjoint,
     solve_forward,
     trace_boundary,
@@ -80,34 +81,48 @@ def add_noise(data: DataSet, eps: float, seed: int) -> DataSet:
     return DataSet(fluxes=list(data.fluxes), measurements=noisy, noise_level=eps, seed=seed)
 
 
-def _evaluate(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float):
-    """J(gamma), and a function that returns the covector of its derivative:
-    dJ(gamma; ghat) = ghat @ covector().
+def _evaluate(system: SparseSystem, fluxes: np.ndarray, measurements: np.ndarray, lam: float):
+    """J at every member of a system stack, and a function that returns the
+    covectors of its derivative at the members index, one row each:
+    dJ_i(gamma_i; ghat) = ghat @ covector(index)[j] for i = index[j].
 
-    All fluxes share one forward solve, and the covector costs one adjoint
-    solve on the same system, states and residuals, which live as long as
-    the function does.
+    Every member takes the currents fluxes (n_dOmega, k) and is measured as
+    measurements[i] (n_dOmega, k): one stacked forward solve serves them all.
+    The covectors cost one stacked adjoint solve on the same systems, states
+    and residuals, which live as long as the function does.
     """
-    system = assemble_system(mesh, sigma, gamma)
-    states = solve_forward(system, np.column_stack(data.fluxes))
-    residuals = trace_boundary(mesh, states) - np.column_stack(data.measurements)
-    J_data = 0.5 * float(np.sum(residuals * (mesh.boundary_mass @ residuals)))
-    gamma = np.asarray(gamma, dtype=float)
-    J = J_data + 0.5 * lam * interface_l2(system, gamma, gamma)
+    if not lam >= 0.0:  # also rejects NaN
+        raise ParameterError("lambda must be >= 0")
+    mesh = system.mesh
+    gamma = system.gamma
+    states = solve_forward(system, fluxes)
+    residuals = trace_boundary(mesh, states) - measurements
+    M_B, M_G = mesh.boundary_mass, mesh.interface_mass
+    J = [
+        0.5 * float(np.sum(r * (M_B @ r))) + 0.5 * lam * float(g @ (M_G @ g))
+        for r, g in zip(residuals, gamma)
+    ]
 
-    def covector() -> np.ndarray:
-        adjoints = solve_adjoint(system, residuals)
-        uq = interface_fn_at_quadrature(mesh, trace_interface(mesh, states))
+    def covector(index) -> np.ndarray:
+        members = system if len(index) == len(J) else system.members(index)
+        adjoints = solve_adjoint(members, residuals[index])
+        uq = interface_fn_at_quadrature(mesh, trace_interface(mesh, states[index]))
         vq = interface_fn_at_quadrature(mesh, trace_interface(mesh, adjoints))
         # sum over fluxes of u v at the edge Gauss points, times the rule's weights
-        uvw = (uq * vq).sum(axis=2) * GAUSS_W * mesh.interface_edge_lengths[:, None]
+        uvw = (uq * vq).sum(axis=-1) * GAUSS_W * mesh.interface_edge_lengths[:, None]
         # d/dgamma_n of the assembled Robin term, paired with u and v: edge e
         # feeds its first node e and its second node e + 1
-        contrib = uvw @ GAUSS_SHAPE.T  # (E, local node)
-        robin = contrib[:, 0] + contrib[mesh.interface_prev, 1]
-        return robin + lam * (mesh.interface_mass @ gamma)
+        contrib = uvw @ GAUSS_SHAPE.T  # (member, E, local node)
+        robin = contrib[..., 0] + contrib[:, mesh.interface_prev, 1]
+        return robin + lam * (M_G @ gamma[index][..., None])[..., 0]
 
     return J, covector
+
+
+def _stack_of_one(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet):
+    """The arguments of :func:`_evaluate` for one gamma, as a stack of one."""
+    system = assemble_system(mesh, sigma, np.asarray(gamma, dtype=float)[None])
+    return system, np.column_stack(data.fluxes), np.column_stack(data.measurements)[None]
 
 
 def _riesz_map(mesh: Mesh):
@@ -126,12 +141,14 @@ def _update_inverse_hessian(H: np.ndarray, s: np.ndarray, y: np.ndarray, rho: fl
 
 
 def cost(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float = 0.0) -> float:
-    return _evaluate(mesh, sigma, gamma, data, lam)[0]
+    J, _ = _evaluate(*_stack_of_one(mesh, sigma, gamma, data), lam)
+    return J[0]
 
 
 def gradient(mesh: Mesh, sigma: Conductivity, gamma, data: DataSet, lam: float = 0.0) -> np.ndarray:
     """Riesz representer of the cost derivative in the interface mass inner product."""
-    return _riesz_map(mesh)(_evaluate(mesh, sigma, gamma, data, lam)[1]())
+    _, covector = _evaluate(*_stack_of_one(mesh, sigma, gamma, data), lam)
+    return _riesz_map(mesh)(covector([0])[0])
 
 
 def bfgs_minimize(
@@ -148,30 +165,95 @@ def bfgs_minimize(
     condition fails, keeping the approximation positive definite. The cost
     history is non-increasing by the acceptance rule. A line search that
     would compare costs at rounding level ends the run as ``stalled``.
+    This is :func:`bfgs_lockstep` on a stack of one.
+    """
+    starts = np.asarray(gamma_init, dtype=float)[None]
+    measurements = np.column_stack(data.measurements)[None]
+    return bfgs_lockstep(mesh, sigma, data.fluxes, measurements, lam, starts, opts)[0]
+
+
+def bfgs_lockstep(
+    mesh: Mesh,
+    sigma: Conductivity,
+    fluxes,
+    measurements,
+    lam: float,
+    gamma_init,
+    opts: BfgsOptions | None = None,
+) -> list:
+    """:func:`bfgs_minimize` for every member of a stack, in lockstep.
+
+    Member i starts at gamma_init[i] (s, n_Gamma) and fits measurements[i]
+    (s, n_dOmega, k), its voltages for the k shared currents fluxes. Each
+    round evaluates the line-search candidates of all running members with
+    one stacked assembly (cut by :func:`assemble_stacks`) and one stacked
+    forward solve, then the covectors of the members that accept their
+    candidate with one stacked adjoint solve. Each member runs
+    :func:`_bfgs_member` and stops on its own, so its :class:`BfgsState` is
+    that of a run alone. Returns one state per member.
     """
     opts = opts or BfgsOptions()
-    x = np.asarray(gamma_init, dtype=float).copy()
-    if len(x) != mesh.n_interface_nodes:
+    x = np.array(gamma_init, dtype=float)
+    if x.ndim != 2 or not len(x) or x.shape[1] != mesh.n_interface_nodes:
         raise ParameterError("gamma_init must live on the interface nodes")
     if x.min() < opts.c0 or x.max() > opts.c1:
         raise ParameterError("gamma_init violates the admissible bounds")
+    fluxes = np.column_stack(fluxes)
+    measurements = np.asarray(measurements, dtype=float)
+    if measurements.shape != (len(x),) + fluxes.shape:
+        raise ParameterError("one measurement per member and flux required")
 
-    n = len(x)
     riesz = _riesz_map(mesh)
+    states = [BfgsState(gamma=start) for start in x]
+    members = [_bfgs_member(start, state, riesz, opts) for start, state in zip(x, states)]
+    requests = [next(member) for member in members]
+    live = np.arange(len(x))
+    while len(live):
+        for span, system in assemble_stacks(mesh, sigma, np.array([requests[i] for i in live])):
+            chunk = live[span]
+            J, covector = _evaluate(system, fluxes, measurements[chunk], lam)
+            for j, i in enumerate(chunk):
+                requests[i] = _advance(members[i], J[j])
+            ask = [j for j, i in enumerate(chunk) if requests[i] is _COVECTOR]
+            if ask:
+                for j, grad in zip(ask, covector(ask)):
+                    requests[chunk[j]] = _advance(members[chunk[j]], grad)
+            del system, covector  # no stack is kept alive while the next one is assembled
+        live = np.array([i for i in live if requests[i] is not None], dtype=int)
+    return states
 
-    J, covector_at = _evaluate(mesh, sigma, x, data, lam)
-    grad = covector_at()
-    rep = riesz(grad)
-    del covector_at  # no factor is kept alive while the next line search runs
-    grad_inf = float(np.abs(rep).max())
+
+# what a member yields to ask for the covector at the point it has just accepted
+_COVECTOR = "covector"
+
+
+def _advance(member, value):
+    """Send value to a member; its next request, or None once it has stopped."""
+    try:
+        return member.send(value)
+    except StopIteration:
+        return None
+
+
+def _bfgs_member(x: np.ndarray, state: BfgsState, riesz, opts: BfgsOptions):
+    """The BFGS run of one member, as a generator that records it in state.
+
+    It yields every point whose cost it needs and is sent J there; once it
+    accepts a point it yields _COVECTOR and is sent the covector at that
+    point. It returns when it stops, with state.status set.
+    """
+    J = yield x
+    grad = yield _COVECTOR
+    grad_inf = float(np.abs(riesz(grad)).max())
     gtol = opts.gtol if opts.gtol is not None else GTOL_REL * grad_inf
+    n = len(x)
     H = np.eye(n)
-    state = BfgsState(gamma=x, history=[(J, grad_inf, 0.0)])
+    state.history.append((J, grad_inf, 0.0))
 
     for _ in range(opts.max_iter):
         if grad_inf <= gtol:
             state.status = "converged"
-            return state
+            return
         d = -H @ grad
         slope = float(grad @ d)
         if slope >= 0.0:  # safeguard: reset to steepest descent
@@ -179,33 +261,28 @@ def bfgs_minimize(
             d = -grad
             slope = float(grad @ d)
         step = 1.0
-        accepted = False
         for _halving in range(MAX_HALVINGS + 1):
             if ARMIJO_C * step * abs(slope) < STALL_ULPS * np.finfo(float).eps * abs(J):
                 state.status = "stalled"
-                return state
+                return
             cand = np.clip(x + step * d, opts.c0, opts.c1)
-            J_cand, covector_at = _evaluate(mesh, sigma, cand, data, lam)
+            J_cand = yield cand
             if J_cand <= J + ARMIJO_C * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             state.status = "line_search_failure"
-            return state
-        grad_new = covector_at()
-        rep_new = riesz(grad_new)
-        del covector_at
+            return
+        grad_new = yield _COVECTOR
         s = cand - x
         y = grad_new - grad
         sy = float(s @ y)
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
             _update_inverse_hessian(H, s, y, 1.0 / sy)
-        x, J, grad, rep = cand, J_cand, grad_new, rep_new
-        grad_inf = float(np.abs(rep).max())
+        x, J, grad = cand, J_cand, grad_new
+        grad_inf = float(np.abs(riesz(grad)).max())
         state.gamma = x
         state.history.append((J, grad_inf, step))
 
     if grad_inf <= gtol:
         state.status = "converged"
-    return state

@@ -154,6 +154,23 @@ def test_example1_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_example_members_match_single_reconstructions(tmp_path):
+    # example2 runs its (eps, init) members in lockstep; each must write what
+    # a reconstruct call of that member alone writes
+    cfg = write_config(tmp_path)
+    out = tmp_path / "ex2"
+    assert cli.main(["example2", "--config", cfg, "--out", str(out)]) == 0
+    for eps in ("0", "0.05"):
+        member = COARSE + f"gamma_true = example2\nfluxes = example2\neps = {eps}\n"
+        single = tmp_path / f"run{eps}"
+        run_cfg = write_config(tmp_path, member, name=f"run{eps}.txt")
+        assert cli.main(["reconstruct", "--config", run_cfg, "--out", str(single)]) == 0
+        for kind in ("history", "coefficient"):
+            ours = (out / f"{kind}_eps{eps}_init_constant1.csv").read_text().splitlines()
+            alone = (single / f"{kind}_run.csv").read_text().splitlines()
+            assert ours[1:] == alone[1:]  # below the config comment line
+
+
 def test_usage_error_exit_code(tmp_path):
     assert cli.main(["bogus", "--config", str(tmp_path / "x")]) == cli.EXIT_PARAMETER
     assert cli.main(["mesh"]) == cli.EXIT_PARAMETER  # --config missing
@@ -195,7 +212,7 @@ def test_bad_eps_rejected(tmp_path, value):
 
 @pytest.mark.parametrize(
     "line",
-    ["seed = -1", f"seed = {2**64}", "max_iter = -3", "gtol = -1e-6",
+    ["seed = -1", f"seed = {2**64}", "max_iter = -3", "gtol = -1e-6", "reg_lambda = -1.0",
      "c0 = 0", "c1 = 1e-4", "a = -1", "b = 0.5", "n_r_inner = 0", "n_r_outer = 0",
      "n_theta = 31", "n_modes = 0", "partition_m = 0", "partition_m = 33"],
 )
@@ -224,6 +241,12 @@ def test_range_errors_stop_before_any_output(tmp_path, capsys):
         assert cli.main(["lipschitz", "--config", cfg, "--out", str(out)]) == 1
         assert line.split()[0] + " must be" in capsys.readouterr().err
         assert not out.exists()
+    # a negative weight would make the cost unbounded below; the alias names the key
+    cfg = write_config(tmp_path, COARSE + "lambda = -1.0\n")
+    out = tmp_path / "out"
+    assert cli.main(["reconstruct", "--config", cfg, "--out", str(out)]) == 1
+    assert "reg_lambda must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_basis_larger_than_the_boundary_stops_before_any_csv(tmp_path, capsys):

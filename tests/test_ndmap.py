@@ -179,22 +179,36 @@ def test_estimate_chain_random_sweep(mesh_coarse, sigma):
 
 
 @pytest.mark.parametrize(
-    "verify",
+    "verify, message",
     [
-        lambda s1, s2, g: ri.monotonicity_estimate_check(s1, s2, g),
-        lambda s1, s2, g: ri.alessandrini_residual(s1, s2, g, g),
+        (lambda s1, s2, g: ri.monotonicity_estimate_check(s1, s2, g), "share a mesh"),
+        (lambda s1, s2, g: ri.alessandrini_residual(s1, s2, g, g), "share a mesh"),
+        (lambda s1, s2, g: ri.check_monotonicity(s1, s2, 4), "share a mesh"),
+        (
+            lambda s1, s2, g: ri.operator_norm_diff(
+                ri.nd_form_matrix(s1, 4), ri.nd_form_matrix(s2, 4)
+            ),
+            "different bases",
+        ),
     ],
-    ids=["monotonicity_estimate_check", "alessandrini_residual"],
+    ids=[
+        "monotonicity_estimate_check",
+        "alessandrini_residual",
+        "check_monotonicity",
+        "operator_norm_diff",
+    ],
 )
-def test_identity_verifiers_reject_two_meshes(verify, system_coarse, mesh_coarse, sigma):
-    # a copy with the center moved has the same node and ring counts
+def test_identity_verifiers_reject_two_meshes(verify, message, system_coarse, mesh_coarse, sigma):
+    # a copy with the center and one boundary node moved has the same node and
+    # ring counts; the boundary node changes its boundary mass, hence its ND basis
     nodes = mesh_coarse.nodes.copy()
     nodes[0] += 0.1
+    nodes[mesh_coarse.boundary_nodes[0]] *= 1.01
     moved = dataclasses.replace(mesh_coarse, nodes=nodes)
     other = make_system(moved, sigma, np.full(moved.n_interface_nodes, 2.0))
     g = np.cos(mesh_coarse.boundary_theta)
     for s1, s2 in ((system_coarse, other), (other, system_coarse)):
-        with pytest.raises(ri.ParameterError, match="share a mesh"):
+        with pytest.raises(ri.ParameterError, match=message):
             verify(s1, s2, g)
 
 

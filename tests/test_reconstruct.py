@@ -192,36 +192,136 @@ def test_bfgs_deterministic(mesh_coarse, sigma):
     assert s1.history == s2.history
 
 
+def _example_data(mesh, sigma, which, eps, seed):
+    gamma_true = gamma_selector(which, mesh.interface_theta)
+    fluxes = flux_set(which, mesh.boundary_theta)
+    return ri.add_noise(ri.synthesize_data(mesh, sigma, gamma_true, fluxes), eps, seed)
+
+
 def test_bfgs_factors_each_candidate_once(mesh_coarse, sigma, monkeypatch):
-    calls = []
+    checked = []  # every matrix checked, one per member of a stack
     real = fem.cholesky
 
     def spy(A):
-        calls.append(A.tobytes())
+        checked.extend(M.tobytes() for M in A.reshape((-1,) + A.shape[-2:]))
         return real(A)
 
-    monkeypatch.setattr(fem, "cholesky", spy)
-    init = np.ones(mesh_coarse.n_interface_nodes)
-    cases = (("example1", 0.1, 2, "stalled"), ("example2", 0.0, 0, "max_iter"))
-    for which, eps, seed, status in cases:
-        gamma_true = gamma_selector(which, mesh_coarse.interface_theta)
-        fluxes = flux_set(which, mesh_coarse.boundary_theta)
-        clean = ri.synthesize_data(mesh_coarse, sigma, gamma_true, fluxes)
-        data = ri.add_noise(clean, eps, seed)
-        calls.clear()
-        state = ri.bfgs_minimize(mesh_coarse, sigma, data, 0.0, init, ri.BfgsOptions(max_iter=40))
-        assert state.status == status
-        assert len(set(calls)) == len(calls)  # no candidate is assembled twice
+    def bounds(state):
+        """Least and most matrices that a run of this history checks."""
         # an accepted step 0.5**h was the (h + 1)-th line-search candidate
         candidates = sum(round(-np.log2(step)) + 1 for _, _, step in state.history[1:])
         assert candidates > len(state.history)  # some line searches halved
         # the start, then each candidate once: the accepted one's gradient reuses its system
-        if status == "stalled":
+        if state.status == "stalled":
             # the last line search stopped before its Armijo test reached
             # rounding level, after at most MAX_HALVINGS candidates
-            assert 1 + candidates <= len(calls) <= 1 + candidates + reconstruct.MAX_HALVINGS
-        else:
-            assert len(calls) == 1 + candidates
+            return 1 + candidates, 1 + candidates + reconstruct.MAX_HALVINGS
+        return 1 + candidates, 1 + candidates
+
+    monkeypatch.setattr(fem, "cholesky", spy)
+    theta = mesh_coarse.interface_theta
+    init = np.ones(mesh_coarse.n_interface_nodes)
+    opts = ri.BfgsOptions(max_iter=40)
+    cases = (("example1", 0.1, 2, "stalled"), ("example2", 0.0, 0, "max_iter"))
+    for which, eps, seed, status in cases:
+        data = _example_data(mesh_coarse, sigma, which, eps, seed)
+        checked.clear()
+        state = ri.bfgs_minimize(mesh_coarse, sigma, data, 0.0, init, opts)
+        assert state.status == status
+        assert len(set(checked)) == len(checked)  # no candidate is assembled twice
+        low, high = bounds(state)
+        assert low <= len(checked) <= high
+
+    # the max_iter case and a run that stalls on the same currents, from
+    # another start, as one stack: each member checks what it checks alone
+    members = [
+        (_example_data(mesh_coarse, sigma, "example2", eps, seed), start)
+        for eps, seed, start in ((0.0, 0, init), (0.05, 2, gamma_selector("expinit", theta)))
+    ]
+    alone = []
+    for data, start in members:
+        checked.clear()
+        alone.append((ri.bfgs_minimize(mesh_coarse, sigma, data, 0.0, start, opts), len(checked)))
+    checked.clear()
+    measurements = [np.column_stack(data.measurements) for data, _ in members]
+    starts = [start for _, start in members]
+    fluxes = members[0][0].fluxes
+    states = ri.bfgs_lockstep(mesh_coarse, sigma, fluxes, measurements, 0.0, starts, opts)
+    assert [state.status for state in states] == ["max_iter", "stalled"]
+    assert len(set(checked)) == len(checked)
+    assert len(checked) == sum(count for _, count in alone)
+    low, high = np.sum([bounds(state) for state in states], axis=0)
+    assert low <= len(checked) <= high
+
+
+def test_lockstep_members_match_single_runs(mesh_coarse, sigma, monkeypatch):
+    n = mesh_coarse.n_interface_nodes
+    gamma_true = gamma_selector("example2", mesh_coarse.interface_theta)
+    clean = _example_data(mesh_coarse, sigma, "example2", 0.0, 0)
+    # (data, start): a stationary start, a run to max_iter, and two noisy runs
+    # that stall at different iterations
+    members = [
+        (clean, gamma_true),
+        (clean, np.ones(n)),
+        (ri.add_noise(clean, 0.05, 2), gamma_selector("expinit", mesh_coarse.interface_theta)),
+        (ri.add_noise(clean, 0.1, 0), np.ones(n)),
+    ]
+    opts = ri.BfgsOptions(max_iter=40)
+    alone = [ri.bfgs_minimize(mesh_coarse, sigma, data, 0.0, start, opts) for data, start in members]
+    assert [state.status for state in alone] == ["converged", "max_iter", "stalled", "stalled"]
+    assert len({len(state.history) for state in alone}) == len(alone)
+    measurements = [np.column_stack(data.measurements) for data, _ in members]
+    starts = [start for _, start in members]
+
+    sizes = []
+    real = fem.cholesky
+
+    def spy(A):
+        assert A.nbytes <= fem._STACK_BYTES
+        sizes.append(len(A))
+        return real(A)
+
+    monkeypatch.setattr(fem, "cholesky", spy)
+    # one stack of four, then stacks of at most two matrices
+    for stack_bytes, most in ((fem._STACK_BYTES, 4), (2 * n * n * 8, 2)):
+        monkeypatch.setattr(fem, "_STACK_BYTES", stack_bytes)
+        sizes.clear()
+        states = ri.bfgs_lockstep(mesh_coarse, sigma, clean.fluxes, measurements, 0.0, starts, opts)
+        assert max(sizes) == most
+        for state, single in zip(states, alone):
+            assert state.status == single.status
+            assert state.history == single.history
+            assert np.array_equal(state.gamma, single.gamma)
+    one = ri.bfgs_lockstep(
+        mesh_coarse, sigma, clean.fluxes, measurements[2:3], 0.0, starts[2:3], opts
+    )
+    assert len(one) == 1 and one[0].history == alone[2].history
+    assert np.array_equal(one[0].gamma, alone[2].gamma)
+
+
+def test_lockstep_validates_its_stack(mesh_coarse, sigma):
+    data = _example_data(mesh_coarse, sigma, "example2", 0.0, 0)
+    n = mesh_coarse.n_interface_nodes
+    measured = np.column_stack(data.measurements)
+    starts = np.ones((2, n))
+    for bad_starts, bad_measured in (
+        (np.ones((0, n)), measured[None][:0]),  # an empty stack
+        (np.ones((2, n + 1)), [measured, measured]),
+        (starts, [measured]),  # one measurement for two members
+        (starts, [measured[:, :2], measured[:, :2]]),  # two currents measured of three
+    ):
+        with pytest.raises(ri.ParameterError):
+            ri.bfgs_lockstep(mesh_coarse, sigma, data.fluxes, bad_measured, 0.0, bad_starts)
+
+
+def test_negative_regularisation_weight_rejected(mesh_coarse, sigma):
+    data = _example_data(mesh_coarse, sigma, "example2", 0.0, 0)
+    gamma = np.ones(mesh_coarse.n_interface_nodes)
+    for lam in (-1.0, float("nan")):
+        with pytest.raises(ri.ParameterError, match="lambda"):
+            ri.cost(mesh_coarse, sigma, gamma, data, lam)
+        with pytest.raises(ri.ParameterError, match="lambda"):
+            ri.bfgs_minimize(mesh_coarse, sigma, data, lam, gamma)
 
 
 def test_bfgs_stays_on_the_ring(mesh_coarse, sigma, no_nodal_field):
