@@ -338,19 +338,16 @@ def cmd_lipschitz(cfg, out):
     check_basis_fits(cfg)
     mesh, sigma = _mesh_sigma(cfg)
     partition = interface_partition(mesh, cfg.partition_m)
-    report = lipschitz_constant(mesh, sigma, cfg.a, cfg.b, partition, cfg.cgne_max_iter)
-    rows = [
-        (e.k, e.m, e.g_norm_sq, e.iterations, int(e.achieved), e.functional_value)
-        for e in report.entries
-    ]
+    report = lipschitz_constant(mesh, sigma, cfg.a, cfg.b, partition, cfg.n_modes)
+    rows = [(e.k, e.m, e.g_norm_sq, int(e.achieved), e.functional_value) for e in report.entries]
     write_csv(
         os.path.join(out, "lipschitz_report.csv"),
-        ["k", "m", "g_norm_sq", "iterations", "achieved", "condition_value"],
+        ["k", "m", "g_norm_sq", "achieved", "condition_value"],
         rows,
         cfg,
     )
     summary = [
-        f"a={report.a} b={report.b} K={report.K} M={partition.n_arcs}",
+        f"a={report.a} b={report.b} K={report.K} M={partition.n_arcs} n_modes={report.n_modes}",
         f"complete={report.complete}",
         f"G={report.G}",
         f"constant_proof={report.constant_proof}  (||g1-g2||_inf <= G ||dLambda||_*)",

@@ -159,8 +159,8 @@ class SparseSystem:
         return np.asarray(self.gamma, dtype=float)
 
     def members(self, index) -> "SparseSystem":
-        """The members index of this stack (a slice or an index array), or, for
-        index np.newaxis, a single system as a stack of one."""
+        """The members index of this stack (a slice or an index array), or, for an
+        integer index, that member as the system of one gamma."""
         return SparseSystem(
             self.mesh, self.sigma, _members(self.gamma, index), self.part, self.matrix[index]
         )

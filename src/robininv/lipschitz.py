@@ -2,10 +2,16 @@
 
 For bounds 0 < a < b and a partition of the interface into M arcs, the
 special coefficients gamma^(km) take the value (k+5)a/4 on arc m and a/2
-elsewhere, k = 1..K with K = floor(4(b/a - 1)) + 1. CGNE produces currents
-g^(km) whose solutions satisfy the localization condition
-(1/2) int_{arc m} u^2 - (2b/a - 1) int_elsewhere u^2 >= 1, and
-G = max ||g^(km)||^2 yields the stability constant.
+elsewhere, k = 1..K with K = floor(4(b/a - 1)) + 1. Each g^(km) is the
+boundary current of least L2(dOmega) norm whose solution satisfies the
+localization condition (1/2) int_{arc m} u^2 - (2b/a - 1) int_elsewhere u^2 >= 1,
+among the currents of the M-orthonormal trigonometric basis B of ``ndmap``
+(2 n_modes + 1 columns). With U the interface traces of the solves of B, the
+condition on g = B c is c^T Q c >= 1 for Q = U^T D_m U, where D_m is the
+condition's quadratic form on P1 interface functions. The least ||g||^2 = |c|^2
+is then 1/lambda_max(Q), reached at c = v/sqrt(lambda_max); no current of the
+span localizes if lambda_max <= 0. G = max ||g^(km)||^2 yields the stability
+constant, for the ND difference measured on currents of that span or a larger one.
 """
 
 from __future__ import annotations
@@ -17,24 +23,20 @@ import numpy as np
 
 from .errors import ParameterError
 from .fem import ArcwiseGamma, Conductivity, SparseSystem, assemble_stacks, assemble_system
-from .locpot import (
-    CgneResult,
-    arc_edge_mask,
-    cgne_lockstep,
-    edge_integrals_sq,
-    indicator_nodal,
-)
-from .mesh import Mesh, PartitionSpec
-from .ndmap import NdForm, nd_form_matrix, operator_norm_diff
+from .locpot import apply_Astar, arc_edge_mask, edge_integrals_sq
+from .mesh import Mesh, PartitionSpec, curve_mass
+from .ndmap import NdForm, nd_form_matrix, operator_norm_diff, orthonormal_boundary_basis
 
 
 @dataclass
 class GkmEntry:
+    """The current g^(km) and its condition value; the zero current where no
+    current of the span meets the condition (achieved False)."""
+
     k: int  # 1-based
     m: int  # 1-based
     g: np.ndarray
     g_norm_sq: float
-    iterations: int
     achieved: bool
     functional_value: float
 
@@ -44,6 +46,7 @@ class LipschitzReport:
     a: float
     b: float
     K: int
+    n_modes: int  # the currents g^(km) lie in the span of 2 n_modes + 1 basis functions
     partition: PartitionSpec
     entries: list = field(default_factory=list)
     complete: bool = False
@@ -98,36 +101,53 @@ def gkm_condition(
     system: SparseSystem, partition: PartitionSpec, m: int, b_over_a: float, u_iface
 ) -> float:
     """(1/2) int_{arc m} u^2 - (2 b/a - 1) int_{Gamma \\ arc m} u^2 (1-based m)."""
-    return _localization(system, arc_edge_mask(partition, [m - 1]), b_over_a, u_iface)
-
-
-def _localization(system: SparseSystem, mask: np.ndarray, b_over_a: float, u_iface) -> float:
-    """:func:`gkm_condition` for the edges of arc m given as a mask."""
+    mask = arc_edge_mask(partition, [m - 1])
     per_edge = edge_integrals_sq(system, u_iface)
     on, off = float(per_edge[mask].sum()), float(per_edge[~mask].sum())
     return 0.5 * on - (2.0 * b_over_a - 1.0) * off
 
 
-def _gkm_runs(system: SparseSystem, ms, a: float, b: float, partition: PartitionSpec, max_iter):
-    """Lockstep CGNE runs for A* g = 4 chi_{arc m} on a stack of gamma^(km) systems,
-    one m per member, each stopped on its localization condition reaching 1."""
-    targets = 4.0 * np.stack([indicator_nodal(partition, [m - 1]) for m in ms])
-    last = [0.0] * len(ms)
+def _condition_forms(mesh: Mesh, partition: PartitionSpec, b_over_a: float) -> np.ndarray:
+    """D_m = (1/2 + w) M_arc_m - w M_Gamma with w = 2 b/a - 1, one per arc: u^T D_m u
+    is :func:`gkm_condition` of arc m for P1 u. M_arc_m is the P1 mass of arc m's edges."""
+    on_arc = partition.arc_of_edge == np.arange(partition.n_arcs)[:, None]
+    w = 2.0 * b_over_a - 1.0
+    return (0.5 + w) * curve_mass(mesh.interface_edge_lengths * on_arc) - w * mesh.interface_mass
 
-    def stop_for(i, m):
-        mask = arc_edge_mask(partition, [m - 1])
 
-        def stop(_it, _res, u_trace, _g):
-            last[i] = _localization(system, mask, b / a, u_trace)
-            return last[i] >= 1.0
+def _meet_condition(c: np.ndarray, condition) -> tuple:
+    """c scaled up until condition(c) >= 1.0 as computed, and that value.
 
-        return stop
+    c^T Q c = 1 holds in exact arithmetic; rounding can leave the computed
+    condition a little below 1. A condition that is not positive cannot be
+    scaled up to 1: it gives (zeros, 0.0).
+    """
+    value, bump = condition(c), 2.0**-50
+    while 0.0 < value < 1.0:
+        c = c * (math.sqrt(1.0 / value) + bump)
+        value, bump = condition(c), 2.0 * bump
+    return (c, value) if value >= 1.0 else (np.zeros_like(c), 0.0)
 
-    stops = [stop_for(i, m) for i, m in enumerate(ms)]
-    results = cgne_lockstep(system, targets, stops, max_iter)
-    for result, value in zip(results, last):
-        result.functional_value = value
-    return results
+
+def _gkm_entries(system: SparseSystem, km, forms, b_over_a, partition, n_modes) -> list:
+    """The minimal-norm currents g^(km) of a stack of gamma^(km) systems, one
+    (k, m) per member: one stacked solve of the basis and one stacked eigh."""
+    basis = orthonormal_boundary_basis(system, n_modes)
+    U = apply_Astar(system, basis)  # (s, n_Gamma, d)
+    Q = np.swapaxes(U, 1, 2) @ forms[[m - 1 for _, m in km]] @ U
+    lam, V = np.linalg.eigh(Q)
+    entries = []
+    for (k, m), u_of, lam_max, v in zip(km, U, lam[:, -1], V[:, :, -1]):
+        c, value = np.zeros(len(v)), 0.0
+        if lam_max > 0.0:
+            c, value = _meet_condition(
+                v / math.sqrt(lam_max),
+                lambda c: gkm_condition(system, partition, m, b_over_a, u_of @ c),
+            )
+        g = basis @ c
+        g_norm_sq = float(g @ (system.mesh.boundary_mass @ g))
+        entries.append(GkmEntry(k, m, g, g_norm_sq, achieved=value >= 1.0, functional_value=value))
+    return entries
 
 
 def compute_gkm(
@@ -138,18 +158,16 @@ def compute_gkm(
     a: float,
     b: float,
     partition: PartitionSpec,
-    max_iter: int = 500,
-) -> CgneResult:
-    """CGNE run for A* g = 4 chi_{arc m} under gamma^(km), stopped on the
-    localization condition reaching 1: the runs of :func:`lipschitz_constant`
-    for one (k, m), as a stack of one."""
-    if b <= a or a <= 0:
-        raise ParameterError("bounds must satisfy 0 < a < b")
+    n_modes: int = 4,
+) -> GkmEntry:
+    """The minimal-norm current g^(km) of one (k, m): the entry of
+    :func:`lipschitz_constant`, as a stack of one."""
     if not 1 <= k <= compute_K(a, b):
         raise ParameterError(f"k={k} out of range 1..{compute_K(a, b)}")
     gamma = gamma_km_arcwise(k, m, a, partition)
     system = assemble_system(mesh, sigma, ArcwiseGamma(partition, gamma.values[None]))
-    return _gkm_runs(system, [m], a, b, partition, max_iter)[0]
+    forms = _condition_forms(mesh, partition, b / a)
+    return _gkm_entries(system, [(k, m)], forms, b / a, partition, n_modes)[0]
 
 
 def lipschitz_constant(
@@ -158,33 +176,23 @@ def lipschitz_constant(
     a: float,
     b: float,
     partition: PartitionSpec,
-    max_iter: int = 500,
+    n_modes: int = 4,
 ) -> LipschitzReport:
-    """Run all K*M localized-potential computations and take G = max ||g||^2.
+    """All K*M minimal-norm currents g^(km) in the span of 2 n_modes + 1 basis
+    functions, and G = max ||g||^2.
 
-    The gamma^(km) are assembled as bounded stacks and each stack's CGNE
-    runs go in lockstep.
+    The gamma^(km) are assembled as bounded stacks; each stack takes one
+    stacked solve of the basis and one stacked eigenproblem.
     """
     K = compute_K(a, b)
-    report = LipschitzReport(a=a, b=b, K=K, partition=partition)
+    report = LipschitzReport(a=a, b=b, K=K, n_modes=n_modes, partition=partition)
     km = [(k, m) for k in range(1, K + 1) for m in range(1, partition.n_arcs + 1)]
     gammas = ArcwiseGamma(
         partition, np.stack([gamma_km_arcwise(k, m, a, partition).values for k, m in km])
     )
+    forms = _condition_forms(mesh, partition, b / a)
     for span, system in assemble_stacks(mesh, sigma, gammas):
-        ms = [m for _, m in km[span]]
-        for (k, m), res in zip(km[span], _gkm_runs(system, ms, a, b, partition, max_iter)):
-            report.entries.append(
-                GkmEntry(
-                    k=k,
-                    m=m,
-                    g=res.g,
-                    g_norm_sq=float(res.g @ (mesh.boundary_mass @ res.g)),
-                    iterations=res.iterations,
-                    achieved=res.achieved,
-                    functional_value=res.functional_value,
-                )
-            )
+        report.entries += _gkm_entries(system, km[span], forms, b / a, partition, n_modes)
     achieved = [e for e in report.entries if e.achieved]
     report.complete = len(achieved) == len(report.entries)
     if achieved:
@@ -210,10 +218,15 @@ def verify_stability(
 
     For each pair records ||gamma1 - gamma2||_inf, the truncated ND-difference
     norm, and their ratio, to compare against the proof constant G and the
-    stated constant 1/G. Refuses incomplete reports.
+    stated constant 1/G. Refuses incomplete reports, and an n_modes below the
+    report's: G bounds the ND difference only on a span holding its currents.
     """
     if not report.complete:
         raise ParameterError("stability verification requires a complete report")
+    if n_modes < report.n_modes:
+        raise ParameterError(
+            f"n_modes={n_modes} is below the report's n_modes={report.n_modes}"
+        )
     rng = np.random.default_rng(seed)
     part = report.partition
     # every pair at once, in the order of n_samples sample_pair calls

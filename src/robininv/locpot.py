@@ -49,99 +49,61 @@ def apply_Astar(system: SparseSystem, g) -> np.ndarray:
     return trace_interface(system.mesh, solve_forward(system, g))
 
 
-def _sq_norms(M: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Squared norms of the rows in the inner product of the mass M.
-
-    One product per row, so a member's norms do not depend on the stack around it.
-    """
-    return ((rows[:, None, :] @ M)[:, 0] * rows).sum(axis=1)
-
-
-def cgne_lockstep(system: SparseSystem, targets, stops, max_iter: int) -> list:
-    """CGNE on A_i* g = targets[i] for every member i of a system stack, in lockstep.
-
-    One stacked forward and one stacked interface-source solve per iteration
-    serve every member still running. Member i stops on its own: when
-    ``stops[i](iteration, residual_norm, u_trace, g)`` holds (achieved), on
-    stagnation (denominator or rho not positive, before the update), or
-    after max_iter iterations; it then leaves the stack. Returns one
-    :class:`CgneResult` per member, as :func:`cgne_solve` would give it.
-    """
-    mesh = system.mesh
-    targets = np.asarray(targets, dtype=float)
-    if targets.ndim != 2 or targets.shape[1] != mesh.n_interface_nodes:
-        raise ParameterError("target must live on the interface nodes")
-    if system.matrix.ndim != 3 or len(system.matrix) != len(targets):
-        raise ParameterError("one target per member of the system stack required")
-    if max_iter < 1:
-        raise ParameterError("max_iter must be >= 1")
-    M_G, M_B = mesh.interface_mass, mesh.boundary_mass
-    results = [CgneResult(g=np.zeros(mesh.n_boundary_nodes), iterations=0) for _ in targets]
-    live = np.arange(len(targets))  # members still running, and their iterates below
-    g = np.zeros((len(targets), mesh.n_boundary_nodes))
-    r = targets.copy()
-
-    def record(it: int) -> np.ndarray:
-        """Residual norms and stop tests of the live members; True where achieved."""
-        norms = np.sqrt(np.maximum(_sq_norms(M_G, r), 0.0))
-        held = np.zeros(len(live), dtype=bool)
-        for j, i in enumerate(live):
-            result = results[i]
-            result.g, result.iterations = g[j], it
-            result.residual_history.append(norms[j])
-            held[j] = stops[i](it, norms[j], targets[i] - r[j], g[j])
-            if held[j]:
-                result.achieved, result.stopped_by = True, "stop test"
-        return held
-
-    running = ~record(0)
-    live, g, r = live[running], g[running], r[running]
-    if len(live) == 0:
-        return results
-    stack = system.members(live) if len(live) < len(targets) else system
-    s = apply_A(stack, r[..., None])[..., 0]  # loads (s, n, 1): one per member
-    p = s
-    rho = _sq_norms(M_B, s)
-    for it in range(1, max_iter + 1):
-        q = apply_Astar(stack, p[..., None])[..., 0]
-        denom = _sq_norms(M_G, q)
-        running = (denom > 0.0) & (rho > 0.0)  # else the residual is in the null space of A
-        for i in live[~running]:
-            results[i].stopped_by = "stagnation"
-        live, g, r, p, q, rho, denom = (
-            x[running] for x in (live, g, r, p, q, rho, denom)
-        )
-        alpha = rho / denom
-        g = g + alpha[:, None] * p
-        r = r - alpha[:, None] * q
-        running = ~record(it)
-        live, g, r, p, rho = (x[running] for x in (live, g, r, p, rho))
-        if len(live) == 0 or it == max_iter:
-            break
-        if len(live) < len(stack.matrix):
-            stack = system.members(live)
-        s = apply_A(stack, r[..., None])[..., 0]
-        rho_new = _sq_norms(M_B, s)
-        p = s + (rho_new / rho)[:, None] * p
-        rho = rho_new
-    for i in live:
-        results[i].stopped_by = "max_iter"
-    return results
-
-
 def cgne_solve(system: SparseSystem, target, stop, max_iter: int) -> CgneResult:
     """Conjugate gradients on the normal equations of A* g = target.
 
     ``stop(iteration, residual_norm, u_trace, g)`` is evaluated at every
     iterate, including the zero start; the residual norm is
-    ||A* g - target||_{L2(Gamma)} and u_trace is the current A* g.
-    The residual history is non-increasing by construction. This is
-    :func:`cgne_lockstep` on a stack of one.
+    ||A* g - target||_{L2(Gamma)} and u_trace is the current A* g. The run
+    ends when it holds (achieved, "stop test"), on stagnation (denominator or
+    rho not positive, before the update) or after max_iter iterations. Each
+    iteration costs one forward and one interface-source solve. The residual
+    history is non-increasing by construction.
     """
+    mesh = system.mesh
     target = np.asarray(target, dtype=float)
-    if target.ndim != 1:
+    if target.shape != (mesh.n_interface_nodes,):
         raise ParameterError("target must live on the interface nodes")
-    return cgne_lockstep(system.members(np.newaxis), target[None], [stop], max_iter)[0]
+    if system.matrix.ndim != 2:
+        raise ParameterError("cgne_solve takes the system of one gamma")
+    if max_iter < 1:
+        raise ParameterError("max_iter must be >= 1")
+    M_G, M_B = mesh.interface_mass, mesh.boundary_mass
+    result = CgneResult(g=np.zeros(mesh.n_boundary_nodes), iterations=0)
+    r = target.copy()
+
+    def record(it: int, g: np.ndarray) -> bool:
+        norm = float(np.sqrt(max(r @ (M_G @ r), 0.0)))
+        result.g, result.iterations = g, it
+        result.residual_history.append(norm)
+        result.achieved = bool(stop(it, norm, target - r, g))
+        return result.achieved
+
+    if record(0, result.g):
+        result.stopped_by = "stop test"
+        return result
+    s = apply_A(system, r)
+    p = s
+    rho = s @ (M_B @ s)
+    for it in range(1, max_iter + 1):
+        q = apply_Astar(system, p)
+        denom = q @ (M_G @ q)
+        if not (denom > 0.0 and rho > 0.0):  # the residual is in the null space of A
+            result.stopped_by = "stagnation"
+            return result
+        alpha = rho / denom
+        r = r - alpha * q
+        if record(it, result.g + alpha * p):
+            result.stopped_by = "stop test"
+            return result
+        if it == max_iter:
+            break
+        s = apply_A(system, r)
+        rho_new = s @ (M_B @ s)
+        p = s + (rho_new / rho) * p
+        rho = rho_new
+    result.stopped_by = "max_iter"
+    return result
 
 
 def runge_approximate(system: SparseSystem, f, tol: float, max_iter: int) -> CgneResult:

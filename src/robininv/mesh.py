@@ -99,11 +99,11 @@ class Mesh:
 
     @cached_property
     def interface_mass(self) -> np.ndarray:
-        return _curve_mass(self.interface_edge_lengths)
+        return curve_mass(self.interface_edge_lengths)
 
     @cached_property
     def boundary_mass(self) -> np.ndarray:
-        return _curve_mass(edge_lengths(self, self.boundary_edges))
+        return curve_mass(edge_lengths(self, self.boundary_edges))
 
     @cached_property
     def interface_next(self) -> np.ndarray:
@@ -214,16 +214,17 @@ def edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
     return np.linalg.norm(d, axis=1)
 
 
-def _curve_mass(length: np.ndarray) -> np.ndarray:
-    """Dense, read-only P1 mass matrix of a closed polygon.
+def curve_mass(length: np.ndarray) -> np.ndarray:
+    """Dense, read-only P1 mass matrix of a closed polygon, or one per row of lengths (k, E).
 
-    Edge e joins ring positions e and e + 1.
+    Edge e joins ring positions e and e + 1; an edge of length 0 adds nothing,
+    so zeroing the lengths outside a set of edges gives the mass of that set.
     """
-    i = np.arange(len(length))
+    i = np.arange(length.shape[-1])
     j = np.roll(i, -1)
-    M = np.zeros((len(length), len(length)))
-    M[i, i] = (length + length[i - 1]) / 3.0
-    M[i, j] = M[j, i] = length / 6.0
+    M = np.zeros(length.shape + (len(i),))
+    M[..., i, i] = (length + length[..., i - 1]) / 3.0
+    M[..., i, j] = M[..., j, i] = length / 6.0
     return _read_only(M)
 
 

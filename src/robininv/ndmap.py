@@ -71,6 +71,8 @@ def orthonormal_boundary_basis(system: SparseSystem, n_modes: int) -> np.ndarray
     (mesh, n_modes), kept in ``mesh.cache`` and returned read-only.
     """
     mesh = system.mesh
+    if n_modes < 1:
+        raise ParameterError("n_modes must be >= 1")
     if 2 * n_modes + 1 > mesh.n_boundary_nodes:
         raise ParameterError("basis larger than the boundary node count")
     key = ("nd_basis", n_modes)
@@ -85,8 +87,6 @@ def orthonormal_boundary_basis(system: SparseSystem, n_modes: int) -> np.ndarray
 def nd_form_matrix(system: SparseSystem, n_modes: int) -> NdForm:
     """One batched forward solve of all basis functions; entries via the boundary
     inner product. A system stack gives one matrix per member, (s, d, d)."""
-    if n_modes < 1:
-        raise ParameterError("n_modes must be >= 1")
     B = orthonormal_boundary_basis(system, n_modes)
     M = system.mesh.boundary_mass
     return NdForm(n_modes=n_modes, basis=B, matrix=B.T @ (M @ apply_nd(system, B)))

@@ -109,6 +109,26 @@ def test_locpot_command(tmp_path):
     assert "(stopped by stop test)" in (out / "summary.txt").read_text()
 
 
+def test_lipschitz_command(tmp_path):
+    cfg = write_config(tmp_path, COARSE + "n_modes = 4\n")
+    out = tmp_path / "out"
+    assert cli.main(["lipschitz", "--config", cfg, "--out", str(out)]) == 0
+    header, rows = read_csv(out / "lipschitz_report.csv")
+    assert header == ["k", "m", "g_norm_sq", "achieved", "condition_value"]
+    assert len(rows) == 20 and all(float(r[4]) >= 1.0 for r in rows)
+    assert (out / "lipschitz_verification.csv").exists()
+    # no current of 1, cos and sin localizes on a quarter arc against the
+    # weight 2b/a - 1 = 9: every entry is missed, so the report is incomplete
+    mid = "n_r_inner = 4\nn_r_outer = 4\nn_theta = 64\nb = 5\nn_modes = 1\n"
+    cfg = write_config(tmp_path, mid, name="missed.txt")
+    out = tmp_path / "missed"
+    assert cli.main(["lipschitz", "--config", cfg, "--out", str(out)]) == 3
+    _, rows = read_csv(out / "lipschitz_report.csv")
+    assert len(rows) == 17 * 4 and all(r[3] == "0" and float(r[4]) == 0.0 for r in rows)
+    assert "complete=False" in (out / "summary.txt").read_text()
+    assert not (out / "lipschitz_verification.csv").exists()
+
+
 def test_reconstruct_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -233,7 +253,7 @@ def test_out_of_range_seed_flag_exit_1(tmp_path, capsys, seed):
 
 
 def test_range_errors_stop_before_any_output(tmp_path, capsys):
-    # lipschitz reads n_modes only after every CGNE run, and partition_m when
+    # lipschitz reads n_modes when it builds the basis, and partition_m when
     # it splits the interface: both are checked, by name, before any work
     for line in ("n_modes = 0", "partition_m = 0"):
         cfg = write_config(tmp_path, COARSE + line + "\n")
@@ -251,7 +271,7 @@ def test_range_errors_stop_before_any_output(tmp_path, capsys):
 
 def test_basis_larger_than_the_boundary_stops_before_any_csv(tmp_path, capsys):
     # the default n_modes = 16 needs 33 boundary nodes; n_theta = 32 has 32.
-    # Only the drivers that form ND matrices reject it, before any CGNE run
+    # Only the drivers that use the ND basis reject it, before any solve
     cfg = write_config(tmp_path, COARSE)
     for sub in ("lipschitz", "ndmap"):
         out = tmp_path / sub

@@ -88,15 +88,16 @@ def test_compute_gkm_invalid(mesh_coarse, sigma):
         compute_gkm(mesh_coarse, sigma, 1, 1, 2.0, 1.0, part)
 
 
-def test_compute_gkm_achieves_and_reverifies(mesh_mid, sigma):
-    part = ri.interface_partition(mesh_mid, 4)
+def test_compute_gkm_achieves_and_reverifies(full_report, mesh_mid, sigma):
+    report, part = full_report
     res = compute_gkm(mesh_mid, sigma, 1, 1, 1.0, 2.0, part)
-    assert res.achieved
+    assert res.achieved and (res.k, res.m) == (1, 1)
     assert res.functional_value >= 1.0
-    # independent re-evaluation of the localization condition
-    system = ri.assemble_system(mesh_mid, sigma, gamma_km_arcwise(1, 1, 1.0, part))
-    u = ri.apply_Astar(system, res.g)
-    assert gkm_condition(system, part, 1, 2.0, u) >= 1.0 - 1e-10
+    # independent re-evaluation of the localization condition of every entry
+    for e in report.entries:
+        system = ri.assemble_system(mesh_mid, sigma, gamma_km_arcwise(e.k, e.m, 1.0, part))
+        u = ri.apply_Astar(system, e.g)
+        assert gkm_condition(system, part, e.m, 2.0, u) >= 1.0 - 1e-10
 
 
 def test_full_run_a1_b2(full_report):
@@ -113,11 +114,66 @@ def test_full_run_a1_b2(full_report):
 
 
 def test_single_arc_degenerate(mesh_mid, sigma):
-    # M = 1 leaves no complement arc: every target covers Gamma, CGNE still runs
-    part = ri.interface_partition(mesh_mid, 2)
-    report = ri.lipschitz_constant(mesh_mid, sigma, 1.0, 1.1, part)
-    assert report.K == 1
-    assert len(report.entries) == 2
+    # M = 2, and M = 1, which leaves no complement arc: the condition is then
+    # (1/2) int_Gamma u^2 >= 1
+    for n_arcs in (2, 1):
+        part = ri.interface_partition(mesh_mid, n_arcs)
+        report = ri.lipschitz_constant(mesh_mid, sigma, 1.0, 1.1, part)
+        assert report.K == 1
+        assert len(report.entries) == n_arcs and report.complete
+
+
+@pytest.mark.parametrize("rung", [(4, 4, 64), (8, 8, 128), (16, 16, 256)])
+def test_single_arc_constant_is_closed_form(rung, sigma):
+    # with sigma = (2, 1) and M = 1 the constant current gives the largest
+    # interface trace; flux balance on the rings gives ||g||^2 = ((k+5)a/4)^2
+    mesh = ri.generate_disk_mesh(*rung)
+    report = ri.lipschitz_constant(mesh, sigma, 1.0, 2.0, ri.interface_partition(mesh, 1))
+    assert report.complete and report.K == 5
+    for e in report.entries:
+        assert e.g_norm_sq == pytest.approx(((e.k + 5) / 4.0) ** 2, rel=1e-10)
+    assert report.G == pytest.approx(6.25, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "rung, n_modes, G",
+    [((2, 2, 32), 4, 677.3), ((4, 4, 64), 4, 713.4), ((8, 8, 128), 4, 729.3),
+     ((4, 4, 64), 16, 712.8)],
+)
+def test_constant_on_the_ladder(rung, n_modes, G, sigma):
+    # the least norms settle with h, and 4 modes already hold the optimum
+    mesh = ri.generate_disk_mesh(*rung)
+    part = ri.interface_partition(mesh, 4)
+    report = ri.lipschitz_constant(mesh, sigma, 1.0, 2.0, part, n_modes)
+    assert report.complete and report.n_modes == n_modes
+    assert round(report.G, 1) == G
+
+
+def test_unreachable_entries_return_the_zero_current(mesh_mid, sigma):
+    # with b = 5 the weight 2b/a - 1 = 9 on the rest of Gamma is more than the
+    # currents of 1, cos and sin can overcome on a quarter arc
+    part = ri.interface_partition(mesh_mid, 4)
+    report = ri.lipschitz_constant(mesh_mid, sigma, 1.0, 5.0, part, n_modes=1)
+    assert len(report.entries) == 17 * 4
+    for e in report.entries:
+        assert not e.achieved and e.functional_value == 0.0 and e.g_norm_sq == 0.0
+        assert np.all(e.g == 0.0)
+    assert not report.complete and report.G is None
+
+
+def test_condition_holds_as_computed_for_wide_bounds(mesh_mid, sigma):
+    # at b = 20 rounding leaves about half of the least-norm currents a few
+    # 1e-10 below the condition; every returned current must meet it as
+    # computed. Entries k >= 54 have no localizing current in 4 modes.
+    part = ri.interface_partition(mesh_mid, 4)
+    report = ri.lipschitz_constant(mesh_mid, sigma, 1.0, 20.0, part, n_modes=4)
+    achieved = [e for e in report.entries if e.achieved]
+    assert len(achieved) == 53 * 4
+    for e in report.entries:
+        if e.achieved:
+            assert 1.0 <= e.functional_value <= 1.0 + 1e-8
+        else:
+            assert e.functional_value == 0.0 and np.all(e.g == 0.0)
 
 
 def test_wider_bounds_do_not_shrink_constant(full_report, mesh_mid, sigma):
@@ -138,7 +194,7 @@ def test_sample_pair_bounds():
 
 def test_verify_stability_refuses_incomplete(mesh_coarse, sigma):
     part = ri.interface_partition(mesh_coarse, 4)
-    report = ri.LipschitzReport(a=1.0, b=2.0, K=5, partition=part)
+    report = ri.LipschitzReport(a=1.0, b=2.0, K=5, n_modes=4, partition=part)
     with pytest.raises(ri.ParameterError):
         ri.verify_stability(report, mesh_coarse, sigma, 2, seed=0)
 
@@ -161,11 +217,22 @@ def test_lockstep_runs_match_single_runs(mesh_coarse, sigma, monkeypatch):
     monkeypatch.setattr(fem, "_STACK_BYTES", 6 * 8 * n * n)  # stacks of 6, 6, 6 and 2
     report = ri.lipschitz_constant(mesh_coarse, sigma, 1.0, 2.0, part)
     assert len(report.entries) == 20
-    singles = [compute_gkm(mesh_coarse, sigma, e.k, e.m, 1.0, 2.0, part) for e in report.entries]
-    assert [e.iterations for e in report.entries] == [r.iterations for r in singles]
-    assert [e.achieved for e in report.entries] == [r.achieved for r in singles]
-    G = max(float(r.g @ (mesh_coarse.boundary_mass @ r.g)) for r in singles if r.achieved)
-    assert report.G == pytest.approx(G, rel=1e-9)
+    for e in report.entries:
+        single = compute_gkm(mesh_coarse, sigma, e.k, e.m, 1.0, 2.0, part)
+        assert (single.k, single.m, single.achieved) == (e.k, e.m, e.achieved)
+        assert np.array_equal(single.g, e.g)
+        assert single.g_norm_sq == e.g_norm_sq
+        assert single.functional_value == e.functional_value
+    assert report.G == max(e.g_norm_sq for e in report.entries)
+
+
+def test_verify_stability_refuses_fewer_modes_than_the_report(full_report, mesh_mid, sigma):
+    # G bounds ||gamma1 - gamma2||_inf by the ND difference on the span of the
+    # currents g^(km); measured on a smaller span the bound need not hold
+    report, _ = full_report
+    assert report.n_modes == 4
+    with pytest.raises(ri.ParameterError, match="n_modes"):
+        ri.verify_stability(report, mesh_mid, sigma, 2, seed=0, n_modes=3)
 
 
 def test_verify_stability_draws_the_sample_pair_sequence(full_report, mesh_mid, sigma):

@@ -6,7 +6,6 @@ from robininv.locpot import (
     arc_edge_mask,
     arc_integral_sq,
     arc_lengths,
-    cgne_lockstep,
     indicator_nodal,
 )
 
@@ -194,33 +193,35 @@ def test_localization_ratio_grows(system_unit):
     assert ratios[-1] >= 10.0 * ratios[0]
 
 
-def test_lockstep_members_stop_on_their_own(mesh_coarse, sigma):
+def test_cgne_stops_by_test_stagnation_or_max_iter(mesh_coarse, sigma):
     part = ri.interface_partition(mesh_coarse, 4)
     gammas = ri.ArcwiseGamma(part, [[1.0] * 4, [0.5, 2.0, 1.0, 3.0], [2.0] * 4, [1.0, 3.0, 1.0, 3.0]])
     system = ri.assemble_system(mesh_coarse, sigma, gammas)
     theta = mesh_coarse.interface_theta
-    targets = np.stack([
+    targets = [
         np.cos(theta),  # stop test holds at the start
         np.zeros_like(theta),  # zero residual: stagnation at iteration 1
         4.0 * indicator_nodal(part, 0),  # never stopped: max_iter
         np.sin(theta),  # stop test holds after a few iterations
-    ])
+    ]
 
     def tol(value):
         return lambda _it, res, _u, _g: res <= value
 
     stops = [lambda *a: True, lambda *a: False, lambda *a: False, tol(1e-2)]
-    results = cgne_lockstep(system, targets, stops, max_iter=8)
+    results = [
+        ri.cgne_solve(system.members(i), targets[i], stops[i], max_iter=8) for i in range(4)
+    ]
     assert [r.stopped_by for r in results] == ["stop test", "stagnation", "max_iter", "stop test"]
     assert [r.achieved for r in results] == [True, False, False, True]
     assert results[0].iterations == results[1].iterations == 0
     assert results[2].iterations == 8 and 0 < results[3].iterations < 8
     for i, result in enumerate(results):
-        single = ri.cgne_solve(system.members(i), targets[i], stops[i], 8)
-        assert (single.iterations, single.achieved, single.stopped_by) == (
-            result.iterations, result.achieved, result.stopped_by
-        )
-        assert np.allclose(single.residual_history, result.residual_history, rtol=1e-12, atol=0)
-        assert np.abs(single.g - result.g).max() <= 1e-12 * max(np.abs(single.g).max(), 1.0)
-    with pytest.raises(ri.ParameterError):  # one target per member
-        cgne_lockstep(system, targets[:3], stops[:3], 8)
+        assert len(result.residual_history) == result.iterations + 1
+        # the last residual is the one of the returned current
+        u = ri.apply_Astar(system.members(i), result.g)
+        residual = ri.interface_l2(system, u - targets[i], u - targets[i]) ** 0.5
+        assert residual == pytest.approx(result.residual_history[-1], rel=1e-9, abs=1e-12)
+    assert results[3].residual_history[-1] <= 1e-2
+    with pytest.raises(ri.ParameterError):  # the system of one gamma
+        ri.cgne_solve(system, targets[0], stops[0], 8)

@@ -257,13 +257,13 @@ def test_basis_built_once_per_mesh_and_modes(sigma, monkeypatch):
     report = ri.lipschitz_constant(mesh, sigma, 1.0, 1.5, ri.interface_partition(mesh, 2))
     samples = ri.verify_stability(report, mesh, sigma, 5, seed=2, n_modes=4)
     assert len(samples) == 5  # 10 ND forms of 2 gammas each
-    assert calls == [(32, 9)]
+    assert calls == [(32, 9)]  # the Lipschitz currents use the same basis
     # another n_modes, or another mesh, orthonormalizes its own basis once
-    ri.verify_stability(report, mesh, sigma, 2, seed=3, n_modes=3)
+    ri.verify_stability(report, mesh, sigma, 2, seed=3, n_modes=5)
     other = ri.generate_disk_mesh(2, 2, 32)
     ri.nd_form_matrix(ri.assemble_system(other, sigma, np.ones(32)), 4)
     ri.nd_form_matrix(ri.assemble_system(other, sigma, np.full(32, 2.0)), 4)
-    assert calls == [(32, 9), (32, 7), (32, 9)]
+    assert calls == [(32, 9), (32, 11), (32, 9)]
 
 
 def test_cached_basis_is_read_only(system_coarse):
