@@ -12,6 +12,12 @@ that one theta step maps onto itself, as every mesh from
 a Fourier transform in theta and needs numpy only. Other meshes factor
 their sparse interior with scipy.
 
+This module alone knows how the Robin term is discretised: for a nodal
+(piecewise-linear) or arcwise gamma its edge matrices are exact closed-form
+weights, and :func:`robin_covector` is the transpose of that assembly, the
+derivative in gamma that the reconstruction's gradient pairs with a state
+and an adjoint.
+
 A coefficient may be a stack of s coefficients on the same (mesh, sigma):
 nodal values (s, n_Gamma) or an :class:`ArcwiseGamma` with values (s, M).
 Its system holds s matrices and every solve solves all of them at once; a
@@ -29,14 +35,6 @@ from numpy.linalg import LinAlgError, cholesky
 from .errors import CoercivityError, NumericalError, ParameterError
 from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec
 
-# 2-point Gauss rule on [0, 1]; exact for cubics, hence exact for the
-# product of three piecewise-linear factors on an edge.
-GAUSS_XI = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
-GAUSS_W = np.array([0.5, 0.5])
-# GAUSS_SHAPE[i, q] = N_i(xi_q) for the two hat functions of an edge, and
-# _SHAPE_PRODUCTS[q, 2 i + j] = N_i(xi_q) N_j(xi_q)
-GAUSS_SHAPE = np.stack([1.0 - GAUSS_XI, GAUSS_XI])
-_SHAPE_PRODUCTS = np.einsum("iq,jq->qij", GAUSS_SHAPE, GAUSS_SHAPE).reshape(2, 4)
 # ring columns per interior solve when forming S on a mesh without rotational
 # symmetry: a 32-column block of K_II^-1 K_IR takes 98 KB on (4,4,64)
 _SCHUR_BLOCK = 32
@@ -77,13 +75,6 @@ class ArcwiseGamma:
     def min(self) -> float:
         return float(self.values.min())
 
-    def at_edge_points(self, n_edges: int, xi: np.ndarray) -> np.ndarray:
-        """Values at quadrature points: (n_edges, len(xi)), or (s, n_edges, len(xi))."""
-        if n_edges != len(self.partition.arc_of_edge):
-            raise ParameterError("partition does not match this mesh")
-        per_edge = self.values.take(self.partition.arc_of_edge, axis=-1)
-        return np.repeat(per_edge[..., None], len(xi), axis=-1)
-
 
 def _gamma_values(mesh: Mesh, gamma):
     """gamma itself if arcwise, else its nodal values, checked: (n_Gamma,) or (s, n_Gamma)."""
@@ -95,13 +86,17 @@ def _gamma_values(mesh: Mesh, gamma):
     return gamma
 
 
-def _gamma_edge_values(mesh: Mesh, gamma, xi: np.ndarray) -> np.ndarray:
-    """Evaluate gamma at the points xi of every interface edge: (..., n_edges, len(xi))."""
+def edge_ends(mesh: Mesh, gamma):
+    """gamma at the first and at the second node of every interface edge: (g0, g1),
+    each (n_edges,) or (s, n_edges). Edge e runs from node e to node e + 1;
+    an arcwise gamma is constant on each edge."""
     gamma = _gamma_values(mesh, gamma)
     if isinstance(gamma, ArcwiseGamma):
-        return gamma.at_edge_points(mesh.n_interface_nodes, xi)
-    g1 = gamma.take(mesh.interface_next, axis=-1)
-    return gamma[..., None] * (1.0 - xi) + g1[..., None] * xi
+        if mesh.n_interface_nodes != len(gamma.partition.arc_of_edge):
+            raise ParameterError("partition does not match this mesh")
+        per_edge = gamma.values.take(gamma.partition.arc_of_edge, axis=-1)
+        return per_edge, per_edge
+    return gamma, gamma.take(mesh.interface_next, axis=-1)
 
 
 def _gamma_min(mesh: Mesh, gamma) -> float:
@@ -187,15 +182,6 @@ def element_stiffness(mesh: Mesh, sigma: Conductivity, triangles=slice(None)) ->
     return coef[:, None, None] * (
         b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]
     )
-
-
-def _robin_edge_matrices(mesh: Mesh, gamma) -> np.ndarray:
-    """ke[..., e, i, j] = int_{edge e} gamma N_i N_j ds by the 2-point Gauss rule: (..., E, 2, 2).
-
-    The leading axis, if any, is the coefficient stack.
-    """
-    wq = _gamma_edge_values(mesh, gamma, GAUSS_XI) * GAUSS_W * mesh.interface_edge_lengths[:, None]
-    return (wq @ _SHAPE_PRODUCTS).reshape(wq.shape[:-1] + (2, 2))
 
 
 def _layout_ring(nodes: np.ndarray, n_theta: int) -> int | None:
@@ -372,25 +358,46 @@ def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma) -> np.ndarray:
     """A = T + C_Gamma(gamma), the dense matrix of K(sigma, gamma) condensed onto the interface.
 
     Only the cyclic-tridiagonal Robin term C_Gamma depends on gamma. A stack
-    of s coefficients gives s matrices, (s, n, n).
+    of s coefficients gives s matrices, (s, n, n). For gamma linear on an
+    edge of length L with end values g0 and g1, the edge matrix
+    int gamma N_i N_j ds is exactly (L / 12) [[3 g0 + g1, g0 + g1], [g0 + g1, g0 + 3 g1]].
     """
     if not _gamma_min(mesh, gamma) > 0.0:  # also rejects NaN
         raise CoercivityError("gamma must be bounded below by a positive constant")
-    ke = _robin_edge_matrices(mesh, gamma)
+    g0, g1 = edge_ends(mesh, gamma)
+    w = mesh.interface_edge_lengths / 12.0
+    k00, k01, k11 = w * (3.0 * g0 + g1), w * (g0 + g1), w * (g0 + 3.0 * g1)
     T = gamma_free_part(mesh, sigma).T  # before A, so the first set-up does not hold A too
-    stack = ke.shape[:-3]
+    stack = k01.shape[:-1]
     A = np.empty(stack + T.shape)
     A[...] = T
     n = len(T)
     # edge e joins interface positions e and e + 1 (cyclic); in a flat matrix,
     # strides of n + 1 run along the diagonal (from 0), above it (from 1) and below it (from n)
     flat = A.reshape(stack + (n * n,))
-    flat[..., :: n + 1] += ke[..., 0, 0] + ke[..., 1, 1].take(mesh.interface_prev, axis=-1)
-    flat[..., 1 :: n + 1] += ke[..., :-1, 0, 1]
-    flat[..., (n - 1) * n] += ke[..., -1, 0, 1]
-    flat[..., n :: n + 1] += ke[..., :-1, 1, 0]
-    flat[..., n - 1] += ke[..., -1, 1, 0]
+    flat[..., :: n + 1] += k00 + k11.take(mesh.interface_prev, axis=-1)
+    flat[..., 1 :: n + 1] += k01[..., :-1]
+    flat[..., (n - 1) * n] += k01[..., -1]
+    flat[..., n :: n + 1] += k01[..., :-1]
+    flat[..., n - 1] += k01[..., -1]
     return A
+
+
+def robin_covector(mesh: Mesh, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The derivative of the Robin term in gamma, paired with interface values u and v.
+
+    u and v are (n, k) or, one pair per member of a stack, (s, n, k); the result
+    r, (n,) or (s, n), has ghat @ r = sum_k u_k^T C_Gamma(ghat) v_k for every
+    nodal ghat: the transpose of the assembly in :func:`condensed_matrix`.
+    """
+    nxt = mesh.interface_next
+    u1, v1 = u.take(nxt, axis=-2), v.take(nxt, axis=-2)
+    p = (u * v).sum(axis=-1)
+    q = (u * v1 + u1 * v).sum(axis=-1)
+    r = (u1 * v1).sum(axis=-1)
+    w = mesh.interface_edge_lengths / 12.0
+    # edge e feeds its first node e and its second node e + 1
+    return w * (3.0 * p + q + r) + (w * (p + q + 3.0 * r)).take(mesh.interface_prev, axis=-1)
 
 
 def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
@@ -597,33 +604,3 @@ def oracle_interface_trace(n: int, sigma: Conductivity, gamma_const: float, thet
     if n == 0:
         return np.full_like(theta, A)
     return A * rho**n * np.cos(n * theta)
-
-
-def interface_quadrature_integral(system: SparseSystem, values_at_quadrature) -> float:
-    """Integrate an edgewise-sampled function over Gamma with the assembly rule.
-
-    values_at_quadrature has shape (n_edges, 2) matching GAUSS_XI.
-    """
-    length = system.mesh.interface_edge_lengths
-    return float(np.sum(length[:, None] * GAUSS_W[None, :] * values_at_quadrature))
-
-
-def interface_fn_at_quadrature(mesh: Mesh, f) -> np.ndarray:
-    """Piecewise-linear interface function sampled at the edge Gauss points.
-
-    f of shape (n,) gives (n_edges, 2); k functions as columns (n, k) give
-    (n_edges, 2, k), and a stack of them (s, n, k) gives (s, n_edges, 2, k).
-    Edge e runs from node e to node e + 1.
-    """
-    f = np.asarray(f, dtype=float)
-    axis = 1 if f.ndim == 3 else 0
-    if f.shape[axis] != mesh.n_interface_nodes:
-        raise ParameterError("interface function length mismatch")
-    xi = GAUSS_XI.reshape((2,) + (1,) * (f.ndim - 1 - axis))
-    f1 = f.take(mesh.interface_next, axis=axis)
-    return np.expand_dims(f, axis + 1) * (1.0 - xi) + np.expand_dims(f1, axis + 1) * xi
-
-
-def gamma_at_quadrature(system: SparseSystem) -> np.ndarray:
-    """The system's Robin coefficient sampled at the edge Gauss points."""
-    return _gamma_edge_values(system.mesh, system.gamma, GAUSS_XI)

@@ -135,6 +135,8 @@ def arc_edge_mask(partition: PartitionSpec, arcs) -> np.ndarray:
         raise ParameterError("arc set must be nonempty")
     if (arcs < 0).any() or (arcs >= partition.n_arcs).any():
         raise ParameterError("arc index out of range")
+    if len(np.unique(arcs)) != arcs.size:  # a repeated arc would count its length twice
+        raise ParameterError("arc indices must not repeat")
     # a few arcs: one comparison each is cheaper than np.isin's general method
     return (partition.arc_of_edge[:, None] == arcs).any(axis=1)
 

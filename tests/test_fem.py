@@ -27,8 +27,21 @@ def stiffness_matrix(mesh, sigma):
 
 
 def interface_form_matrix(mesh, gamma):
-    """The full sparse matrix of int_Gamma gamma u w ds (2-point Gauss) on every node."""
-    return _sparse(mesh, fem._robin_edge_matrices(mesh, gamma), mesh.interface_edges)
+    """The full sparse matrix of int_Gamma gamma u w ds on every node.
+
+    Its edge matrices come from the 2-point Gauss rule, exact for the cubic
+    products gamma N_i N_j: a reference independent of the closed-form
+    weights that fem assembles.
+    """
+    xi = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
+    shape = np.stack([1.0 - xi, xi])  # shape[i, q] = N_i(xi_q) on an edge
+    if isinstance(gamma, ri.ArcwiseGamma):
+        ends = np.repeat(gamma.values[gamma.partition.arc_of_edge][:, None], 2, axis=1)
+    else:
+        ends = np.column_stack([gamma, np.roll(gamma, -1)])
+    weighted = 0.5 * mesh.interface_edge_lengths[:, None] * (ends @ shape)  # (E, q)
+    local = np.einsum("eq,iq,jq->eij", weighted, shape, shape)
+    return _sparse(mesh, local, mesh.interface_edges)
 
 
 def test_assembly_symmetric_and_split(mesh_coarse):
@@ -47,6 +60,38 @@ def test_gamma_enters_linearly(mesh_coarse, sigma):
     gamma_nodes = mesh_coarse.interface_nodes
     robin = interface_form_matrix(mesh_coarse, ones)[gamma_nodes][:, gamma_nodes].toarray()
     assert np.abs((A2 - A1) - robin).max() < 1e-14 * np.abs(A1).max()
+
+
+def test_robin_covector_is_the_transpose_of_the_assembly(mesh_coarse, sigma):
+    # ghat . robin_covector(u, v) = sum_k u_k^T C(ghat) v_k, C = condensed_matrix - T
+    mesh = mesh_coarse
+    n, k, s = mesh.n_interface_nodes, 3, 4
+    rng = np.random.default_rng(11)
+    ghat = rng.uniform(0.1, 2.0, (s, n))
+    u, v = rng.standard_normal((2, s, n, k))
+    T = fem.gamma_free_part(mesh, sigma).T
+    C = condensed_matrix(mesh, sigma, ghat) - T
+    stacked = fem.robin_covector(mesh, u, v)
+    assert stacked.shape == (s, n)
+    for i in range(s):
+        single = fem.robin_covector(mesh, u[i], v[i])
+        assert single.shape == (n,)
+        form = np.sum(u[i] * (C[i] @ v[i]))
+        for covector in (single, stacked[i]):
+            assert abs(ghat[i] @ covector - form) <= 1e-12 * abs(form)
+
+
+def test_edge_ends_of_nodal_and_arcwise_gamma(mesh_coarse, sigma):
+    gamma = np.arange(1.0, mesh_coarse.n_interface_nodes + 1.0)
+    g0, g1 = fem.edge_ends(mesh_coarse, gamma)
+    assert np.array_equal(g0, gamma) and np.array_equal(g1, np.roll(gamma, -1))
+    part = ri.interface_partition(mesh_coarse, 4)
+    g0, g1 = fem.edge_ends(mesh_coarse, ri.ArcwiseGamma(part, [[1.0, 2.0, 3.0, 4.0]]))
+    assert g0.shape == (1, mesh_coarse.n_interface_nodes)
+    assert np.array_equal(g0, g1) and np.array_equal(g0[0], part.arc_of_edge + 1.0)
+    other = ri.interface_partition(ri.generate_disk_mesh(2, 2, 16), 4)
+    with pytest.raises(ri.ParameterError):
+        ri.assemble_system(mesh_coarse, sigma, ri.ArcwiseGamma(other, [1.0, 2.0, 3.0, 4.0]))
 
 
 def test_system_positive_definite(sigma):

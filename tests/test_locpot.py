@@ -144,6 +144,8 @@ def test_arc_edge_mask_validation(mesh_coarse):
         arc_edge_mask(part, [])
     with pytest.raises(ri.ParameterError):
         arc_edge_mask(part, 4)
+    with pytest.raises(ri.ParameterError):  # a repeated arc would count its length twice
+        arc_edge_mask(part, [0, 0])
 
 
 def test_localized_potential_rejects_full_cover(system_coarse):
