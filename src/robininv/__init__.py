@@ -42,6 +42,7 @@ from .ndmap import (
     apply_nd,
     check_monotonicity,
     monotonicity_estimate_check,
+    nd_form,
     nd_form_matrix,
     nd_quadratic_form,
     operator_norm_diff,

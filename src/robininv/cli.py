@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import get_type_hints
 
 import numpy as np
 
@@ -82,6 +81,13 @@ class ExperimentConfig:
     out: str = "out"
 
 
+# key -> int, float or str; the annotations are strings, as this module
+# postpones their evaluation
+CONFIG_KINDS = {
+    f.name: {"int": int, "float": float, "str": str}[f.type] for f in fields(ExperimentConfig)
+}
+
+
 def parse_number(text: str, kind, what: str):
     """int(text) or a finite float(text); anything else is a ParameterError."""
     try:
@@ -126,7 +132,6 @@ def check_basis_fits(cfg: ExperimentConfig) -> None:
 
 def parse_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
-    kinds = get_type_hints(ExperimentConfig)  # key -> int, float or str
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -137,12 +142,13 @@ def parse_config(path: str) -> ExperimentConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             if key == "lambda":  # friendlier alias for the regularization weight
                 key = "reg_lambda"
-            if key not in kinds:
+            if key not in CONFIG_KINDS:
                 raise ParameterError(f"{path}:{lineno}: unknown config key '{key}'")
-            if kinds[key] is str:
+            kind = CONFIG_KINDS[key]
+            if kind is str:
                 setattr(cfg, key, value)
             else:
-                setattr(cfg, key, parse_number(value, kinds[key], f"{path}:{lineno}: {key}"))
+                setattr(cfg, key, parse_number(value, kind, f"{path}:{lineno}: {key}"))
     check_ranges(cfg, path)
     return cfg
 

@@ -41,6 +41,14 @@ _SCHUR_BLOCK = 32
 # bytes of matrices in one coefficient stack of :func:`assemble_stacks`:
 # 16 matrices of 64 x 64 on (4,4,64)
 _STACK_BYTES = 16 * 64 * 64 * 8
+# bytes of bordered matrices in one span of :func:`inverse_form`: 3 of 73 x 73
+# on (4,4,64) with 4 modes. The factor doubles them; spans of 8 or more of
+# these fault fresh pages in on every call instead of reusing the heap's.
+_BORDERED_BYTES = 128 * 1024
+# beta of the border beta I in :func:`inverse_form`: beta I - Z^T A^-1 Z stays
+# positive definite while Z^T A^-1 Z is below it, and its factor, about
+# sqrt(beta), cannot overflow
+_BORDER = float(np.sqrt(np.finfo(float).max))
 # largest distance, relative to the largest node radius, between a turned node
 # and the node it should land on at which a mesh still turns onto itself;
 # rounding leaves about 2e-16
@@ -354,13 +362,15 @@ def gamma_free_part(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
     return part
 
 
-def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma) -> np.ndarray:
+def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma, border: int = 0) -> np.ndarray:
     """A = T + C_Gamma(gamma), the dense matrix of K(sigma, gamma) condensed onto the interface.
 
     Only the cyclic-tridiagonal Robin term C_Gamma depends on gamma. A stack
     of s coefficients gives s matrices, (s, n, n). For gamma linear on an
     edge of length L with end values g0 and g1, the edge matrix
     int gamma N_i N_j ds is exactly (L / 12) [[3 g0 + g1, g0 + g1], [g0 + g1, g0 + 3 g1]].
+    With a border, each matrix is (n + border) square with A as its leading
+    block; the border rows and columns are left unset for the caller to fill.
     """
     if not _gamma_min(mesh, gamma) > 0.0:  # also rejects NaN
         raise CoercivityError("gamma must be bounded below by a positive constant")
@@ -369,16 +379,19 @@ def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma) -> np.ndarray:
     k00, k01, k11 = w * (3.0 * g0 + g1), w * (g0 + g1), w * (g0 + 3.0 * g1)
     T = gamma_free_part(mesh, sigma).T  # before A, so the first set-up does not hold A too
     stack = k01.shape[:-1]
-    A = np.empty(stack + T.shape)
-    A[...] = T
     n = len(T)
-    # edge e joins interface positions e and e + 1 (cyclic); in a flat matrix,
-    # strides of n + 1 run along the diagonal (from 0), above it (from 1) and below it (from n)
-    flat = A.reshape(stack + (n * n,))
-    flat[..., :: n + 1] += k00 + k11.take(mesh.interface_prev, axis=-1)
-    flat[..., 1 :: n + 1] += k01[..., :-1]
-    flat[..., (n - 1) * n] += k01[..., -1]
-    flat[..., n :: n + 1] += k01[..., :-1]
+    r = n + border
+    A = np.empty(stack + (r, r))
+    A[..., :n, :n] = T
+    # edge e joins interface positions e and e + 1 (cyclic); in a flat matrix of
+    # rows of r, strides of r + 1 run along the diagonal (from 0), above it
+    # (from 1) and below it (from r)
+    flat = A.reshape(stack + (r * r,))
+    end = (n - 1) * (r + 1)  # one past the last entry of the block on a stride from 0
+    flat[..., : end + 1 : r + 1] += k00 + k11.take(mesh.interface_prev, axis=-1)
+    flat[..., 1:end : r + 1] += k01[..., :-1]
+    flat[..., (n - 1) * r] += k01[..., -1]
+    flat[..., r:end : r + 1] += k01[..., :-1]
     flat[..., n - 1] += k01[..., -1]
     return A
 
@@ -400,15 +413,20 @@ def robin_covector(mesh: Mesh, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return w * (3.0 * p + q + r) + (w * (p + q + 3.0 * r)).take(mesh.interface_prev, axis=-1)
 
 
+def _checked_cholesky(K: np.ndarray) -> np.ndarray:
+    """The Cholesky factor of K, whose leading block is A: the definiteness check of A."""
+    try:
+        return cholesky(K)
+    except LinAlgError as exc:
+        raise NumericalError(f"condensed matrix is not positive definite: {exc}") from exc
+
+
 def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
     """The system of gamma, or of a stack of them: :func:`condensed_matrix`, checked
     positive definite by one Cholesky call."""
     A = condensed_matrix(mesh, sigma, gamma)
-    try:
-        # a NaN in A may pass; the finiteness check of every solve catches it
-        cholesky(A)
-    except LinAlgError as exc:
-        raise NumericalError(f"condensed matrix is not positive definite: {exc}") from exc
+    # a NaN in A may pass; the finiteness check of every solve catches it
+    _checked_cholesky(A)
     return SparseSystem(mesh, sigma, gamma, gamma_free_part(mesh, sigma), A)
 
 
@@ -426,6 +444,34 @@ def assemble_stacks(mesh: Mesh, sigma: Conductivity, gamma):
     for lo in range(0, count, size):
         span = slice(lo, min(lo + size, count))
         yield span, assemble_system(mesh, sigma, _members(gamma, span))
+
+
+def inverse_form(mesh: Mesh, sigma: Conductivity, gamma, Z: np.ndarray) -> np.ndarray:
+    """Z^T A(gamma)^-1 Z for Z of shape (n, d): (d, d), or (s, d, d) for a stack of s.
+
+    One Cholesky factorization of the bordered matrix K = [[A, Z], [Z^T, beta I]]
+    gives both the definiteness check of A, as in :func:`assemble_system`, and
+    the form: the factor of K is [[L_A, 0], [H, *]] with H = Z^T L_A^-T, so
+    Z^T A^-1 Z = H H^T, symmetric and with no solve. The stack is factored in
+    spans of at most _BORDERED_BYTES of bordered matrices.
+    """
+    values = gamma.values if isinstance(gamma, ArcwiseGamma) else _gamma_values(mesh, gamma)
+    if values.ndim == 1:
+        return inverse_form(mesh, sigma, _members(gamma, None), Z)[0]
+    n, d = Z.shape
+    forms = np.empty((len(values), d, d))
+    size = max(1, _BORDERED_BYTES // (8 * (n + d) ** 2))
+    for lo in range(0, len(forms), size):
+        span = slice(lo, lo + size)
+        K = condensed_matrix(mesh, sigma, _members(gamma, span), border=d)
+        K[:, :n, n:] = Z
+        K[:, n:, :n] = Z.T
+        K[:, n:, n:] = _BORDER * np.eye(d)
+        H = _checked_cholesky(K)[:, n:, :n]
+        forms[span] = H @ np.swapaxes(H, 1, 2)
+    if not np.isfinite(forms).all():  # a NaN in A may pass the Cholesky factorization
+        raise NumericalError("condensed matrix gave a non-finite form")
+    return forms
 
 
 def _solve(system: SparseSystem, interface_load=None, boundary_load=None) -> np.ndarray:

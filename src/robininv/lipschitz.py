@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .fem import ArcwiseGamma, Conductivity, SparseSystem, assemble_stacks, assemble_system
 from .locpot import apply_Astar, arc_edge_mask, edge_integrals_sq
 from .mesh import Mesh, PartitionSpec, curve_mass
-from .ndmap import NdForm, nd_form_matrix, operator_norm_diff, orthonormal_boundary_basis
+from .ndmap import NdForm, nd_form, operator_norm_diff, orthonormal_boundary_basis
 
 
 @dataclass
@@ -115,38 +115,46 @@ def _condition_forms(mesh: Mesh, partition: PartitionSpec, b_over_a: float) -> n
     return (0.5 + w) * curve_mass(mesh.interface_edge_lengths * on_arc) - w * mesh.interface_mass
 
 
-def _meet_condition(c: np.ndarray, condition) -> tuple:
-    """c scaled up until condition(c) >= 1.0 as computed, and that value.
-
-    c^T Q c = 1 holds in exact arithmetic; rounding can leave the computed
-    condition a little below 1. A condition that is not positive cannot be
-    scaled up to 1: it gives (zeros, 0.0).
-    """
-    value, bump = condition(c), 2.0**-50
-    while 0.0 < value < 1.0:
-        c = c * (math.sqrt(1.0 / value) + bump)
-        value, bump = condition(c), 2.0 * bump
-    return (c, value) if value >= 1.0 else (np.zeros_like(c), 0.0)
+def _conditions(system: SparseSystem, U, C, on_arc, b_over_a) -> np.ndarray:
+    """:func:`gkm_condition` of every current c of C (s, d), whose traces are U c
+    for U (s, n_Gamma, d), on the arcs marked by the edge rows of on_arc (s, n_edges)."""
+    per_edge = edge_integrals_sq(system, (U @ C[:, :, None])[:, :, 0])
+    on = np.where(on_arc, per_edge, 0.0).sum(axis=1)
+    off = np.where(on_arc, 0.0, per_edge).sum(axis=1)
+    return 0.5 * on - (2.0 * b_over_a - 1.0) * off
 
 
 def _gkm_entries(system: SparseSystem, km, forms, b_over_a, partition, n_modes) -> list:
     """The minimal-norm currents g^(km) of a stack of gamma^(km) systems, one
-    (k, m) per member: one stacked solve of the basis and one stacked eigh."""
-    basis = orthonormal_boundary_basis(system, n_modes)
+    (k, m) per member: one stacked solve of the basis and one stacked eigh.
+
+    c^T Q c = 1 holds in exact arithmetic for c = v / sqrt(lambda_max), but
+    rounding can leave the computed condition a little below 1; such currents
+    are scaled up until it is >= 1.0 as computed. Where it is not positive (or
+    lambda_max is not), the entry is missed: the zero current and 0.0.
+    """
+    basis = orthonormal_boundary_basis(system.mesh, n_modes)
     U = apply_Astar(system, basis)  # (s, n_Gamma, d)
-    Q = np.swapaxes(U, 1, 2) @ forms[[m - 1 for _, m in km]] @ U
-    lam, V = np.linalg.eigh(Q)
+    arcs = np.array([m - 1 for _, m in km])
+    lam, V = np.linalg.eigh(np.swapaxes(U, 1, 2) @ forms[arcs] @ U)
+    lam_max = lam[:, -1]
+    reach = lam_max > 0.0
+    C = np.where(reach[:, None], V[:, :, -1], 0.0)
+    C /= np.sqrt(np.where(reach, lam_max, 1.0))[:, None]
+    on_arc = partition.arc_of_edge == arcs[:, None]
+    values, bump = _conditions(system, U, C, on_arc, b_over_a), 2.0**-50
+    low = (0.0 < values) & (values < 1.0)
+    while low.any():  # an entry still low has been low since the start: one bump serves all
+        C[low] *= (np.sqrt(1.0 / values[low]) + bump)[:, None]
+        values[low] = _conditions(system, U[low], C[low], on_arc[low], b_over_a)
+        low, bump = (0.0 < values) & (values < 1.0), 2.0 * bump
+    achieved = values >= 1.0
+    C[~achieved], values[~achieved] = 0.0, 0.0
     entries = []
-    for (k, m), u_of, lam_max, v in zip(km, U, lam[:, -1], V[:, :, -1]):
-        c, value = np.zeros(len(v)), 0.0
-        if lam_max > 0.0:
-            c, value = _meet_condition(
-                v / math.sqrt(lam_max),
-                lambda c: gkm_condition(system, partition, m, b_over_a, u_of @ c),
-            )
+    for (k, m), c, value, hit in zip(km, C, values.tolist(), achieved.tolist()):
         g = basis @ c
         g_norm_sq = float(g @ (system.mesh.boundary_mass @ g))
-        entries.append(GkmEntry(k, m, g, g_norm_sq, achieved=value >= 1.0, functional_value=value))
+        entries.append(GkmEntry(k, m, g, g_norm_sq, achieved=hit, functional_value=value))
     return entries
 
 
@@ -220,6 +228,9 @@ def verify_stability(
     norm, and their ratio, to compare against the proof constant G and the
     stated constant 1/G. Refuses incomplete reports, and an n_modes below the
     report's: G bounds the ND difference only on a span holding its currents.
+    The ND forms of all 2 n_samples coefficients come from one
+    :func:`robininv.ndmap.nd_form` call: one Cholesky factorization per
+    coefficient and no solve.
     """
     if not report.complete:
         raise ParameterError("stability verification requires a complete report")
@@ -235,13 +246,10 @@ def verify_stability(
     pairs, diff_inf = pairs[diff_inf != 0.0], diff_inf[diff_inf != 0.0]
     if len(pairs) == 0:
         return []
-    forms = np.empty((2 * len(pairs), 2 * n_modes + 1, 2 * n_modes + 1))
-    gammas = ArcwiseGamma(part, pairs.reshape(-1, part.n_arcs))
-    for span, system in assemble_stacks(mesh, sigma, gammas):
-        form = nd_form_matrix(system, n_modes)
-        basis, forms[span] = form.basis, form.matrix
+    forms = nd_form(mesh, sigma, ArcwiseGamma(part, pairs.reshape(-1, part.n_arcs)), n_modes)
     nd_norms = operator_norm_diff(
-        NdForm(n_modes, basis, forms[0::2]), NdForm(n_modes, basis, forms[1::2])
+        NdForm(n_modes, forms.basis, forms.matrix[0::2]),
+        NdForm(n_modes, forms.basis, forms.matrix[1::2]),
     )
     samples = []
     for (v1, v2), diff, nd_norm in zip(pairs, diff_inf.tolist(), nd_norms.tolist()):

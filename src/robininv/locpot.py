@@ -118,9 +118,10 @@ def runge_approximate(system: SparseSystem, f, tol: float, max_iter: int) -> Cgn
 
 
 def edge_integrals_sq(system: SparseSystem, u_iface) -> np.ndarray:
-    """int over every interface edge of u^2 ds, exact for piecewise-linear u."""
+    """int over every interface edge of u^2 ds, exact for piecewise-linear u;
+    per row for a stack of traces (s, n_Gamma)."""
     a = np.asarray(u_iface, dtype=float)
-    b = a[system.mesh.interface_next]
+    b = a.take(system.mesh.interface_next, axis=-1)
     return system.mesh.interface_edge_lengths * (a * a + a * b + b * b) / 3.0
 
 

@@ -48,7 +48,8 @@ class Mesh:
         ``fem.nodal_field`` recovers the interior. Per
         ``("nd_basis", n_modes)``, ``ndmap`` keeps the read-only
         M-orthonormal trigonometric boundary basis, which depends on neither
-        gamma nor sigma.
+        gamma nor sigma, and per ``("nd_terms", sigma, n_modes)`` the
+        gamma-free terms Z and F0 of the ND form.
     """
 
     nodes: np.ndarray

@@ -4,6 +4,10 @@ The truncated Galerkin form of the ND map is assembled in the span of
 {1, cos(k theta), sin(k theta) : k <= n_modes}, orthonormalized against the
 discrete boundary mass matrix, so the discrete self-adjointness of the
 Galerkin solver carries over exactly.
+
+With the interior and the boundary condensed away (``fem``), the form of a
+basis B is F(gamma) = F0 + Z^T A(gamma)^-1 Z, where A = T + C_Gamma(gamma),
+Z = W^T M B and F0 = (M B)^T S_BB^-1 (M B) for the boundary mass M.
 """
 
 from __future__ import annotations
@@ -14,14 +18,18 @@ import numpy as np
 
 from .errors import ParameterError
 from .fem import (
+    Conductivity,
     SparseSystem,
     boundary_l2,
     boundary_norm,
     edge_ends,
+    gamma_free_part,
+    inverse_form,
     solve_forward,
     trace_boundary,
     trace_interface,
 )
+from .mesh import Mesh
 
 # 2-point Gauss rule on [0, 1] for the verifiers, whose integrands (gamma2^2 /
 # gamma1, absolute values) are not polynomial on an edge. It is exact for the
@@ -79,13 +87,12 @@ def _orthonormalize(V: np.ndarray, M) -> np.ndarray:
     return np.linalg.solve(L, V.T).T
 
 
-def orthonormal_boundary_basis(system: SparseSystem, n_modes: int) -> np.ndarray:
+def orthonormal_boundary_basis(mesh: Mesh, n_modes: int) -> np.ndarray:
     """Trigonometric boundary basis orthonormalized against the discrete mass.
 
     It depends on the mesh only (the boundary mass), so it is built once per
     (mesh, n_modes), kept in ``mesh.cache`` and returned read-only.
     """
-    mesh = system.mesh
     if n_modes < 1:
         raise ParameterError("n_modes must be >= 1")
     if 2 * n_modes + 1 > mesh.n_boundary_nodes:
@@ -99,12 +106,29 @@ def orthonormal_boundary_basis(system: SparseSystem, n_modes: int) -> np.ndarray
     return basis
 
 
+def nd_form(mesh: Mesh, sigma: Conductivity, gamma, n_modes: int) -> NdForm:
+    """The ND form of gamma, or one per member of a coefficient stack, (s, d, d):
+    F0 + Z^T A(gamma)^-1 Z, symmetric by construction, from one Cholesky
+    factorization per gamma and no solve. Z and F0 are built once per
+    (mesh, sigma, n_modes) and kept read-only in ``mesh.cache``."""
+    B = orthonormal_boundary_basis(mesh, n_modes)
+    key = ("nd_terms", sigma, n_modes)
+    terms = mesh.cache.get(key)
+    if terms is None:
+        part = gamma_free_part(mesh, sigma)
+        MB = mesh.boundary_mass @ B
+        F0 = MB.T @ (part.S_BB_inv @ MB)
+        terms = mesh.cache[key] = (part.W.T @ MB, 0.5 * (F0 + F0.T))
+        for term in terms:
+            term.flags.writeable = False
+    Z, F0 = terms
+    return NdForm(n_modes=n_modes, basis=B, matrix=F0 + inverse_form(mesh, sigma, gamma, Z))
+
+
 def nd_form_matrix(system: SparseSystem, n_modes: int) -> NdForm:
-    """One batched forward solve of all basis functions; entries via the boundary
-    inner product. A system stack gives one matrix per member, (s, d, d)."""
-    B = orthonormal_boundary_basis(system, n_modes)
-    M = system.mesh.boundary_mass
-    return NdForm(n_modes=n_modes, basis=B, matrix=B.T @ (M @ apply_nd(system, B)))
+    """The ND form of the system's gamma (:func:`nd_form`); a system stack gives
+    one matrix per member, (s, d, d)."""
+    return nd_form(system.mesh, system.sigma, system.gamma, n_modes)
 
 
 def _difference_eigenvalues(F1: NdForm, F2: NdForm) -> np.ndarray:

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import robininv as ri
-from robininv import cli
+from robininv import cli, fem
 
 
 COARSE = """
@@ -34,6 +36,14 @@ def test_parse_config_defaults_and_overrides(tmp_path):
     assert cfg.n_theta == 32
     assert cfg.seed == 5
     assert cfg.sigma1 == 2.0  # untouched default
+
+
+def test_every_config_key_has_a_number_or_text_kind():
+    keys = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+    assert list(cli.CONFIG_KINDS) == keys
+    for key, kind in cli.CONFIG_KINDS.items():
+        assert kind in (int, float, str)
+        assert type(getattr(cli.ExperimentConfig(), key)) is kind
 
 
 def test_parse_config_lambda_alias(tmp_path):
@@ -127,6 +137,26 @@ def test_lipschitz_command(tmp_path):
     assert len(rows) == 17 * 4 and all(r[3] == "0" and float(r[4]) == 0.0 for r in rows)
     assert "complete=False" in (out / "summary.txt").read_text()
     assert not (out / "lipschitz_verification.csv").exists()
+
+
+def test_lipschitz_nan_in_an_nd_form_exits_2(tmp_path, monkeypatch):
+    # a NaN in the condensed matrices of the ND forms only: the report is
+    # written, then verify_stability stops with a numerical error and no CSV
+    real = fem.condensed_matrix
+
+    def poisoned(*args, border=0):
+        A = real(*args, border=border)
+        if border:
+            A[..., 0, 0] = np.nan
+        return A
+
+    monkeypatch.setattr(fem, "condensed_matrix", poisoned)
+    cfg = write_config(tmp_path, COARSE + "n_modes = 4\n")
+    out = tmp_path / "out"
+    assert cli.main(["lipschitz", "--config", cfg, "--out", str(out)]) == 2
+    assert (out / "lipschitz_report.csv").exists()
+    assert not (out / "lipschitz_verification.csv").exists()
+    assert not (out / "summary.txt").exists()
 
 
 def test_reconstruct_command(tmp_path):

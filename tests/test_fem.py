@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robininv as ri
-from robininv import cli, fem
+from robininv import cli, fem, ndmap
 from robininv.fem import condensed_matrix
 
 
@@ -306,14 +306,17 @@ def test_many_solves_factor_once(sigma, monkeypatch):
         ri.solve_forward(system, np.cos(k * mesh.boundary_theta))
     ri.solve_adjoint(system, np.sin(mesh.boundary_theta))
     ri.solve_interface_source(system, np.cos(mesh.interface_theta))
-    ri.nd_form_matrix(system, 4)
     ri.nodal_field(system, ri.solve_forward(system, np.cos(mesh.boundary_theta)))
     assert [A.shape for A in _matrices(checks)] == [(n, n)]  # T + C_Gamma, checked once
     assert len(fourier) == 1 and sparse == []  # one set-up of this (mesh, sigma)
-    # a new gamma on the same (mesh, sigma) costs one check only
+    # the ND form factors A bordered by its 9 basis loads, once
+    ri.nd_form_matrix(system, 4)
+    assert [A.shape for A in _matrices(checks)] == [(n, n), (n + 9, n + 9)]
+    assert np.array_equal(_matrices(checks)[1][:n, :n], system.matrix)
+    # a new gamma on the same (mesh, sigma) costs its check and its form only
     other = ri.assemble_system(mesh, sigma, np.full(n, 3.0))
     ri.nd_form_matrix(other, 4)
-    assert [A.shape for A in _matrices(checks)] == [(n, n)] * 2
+    assert [A.shape for A in _matrices(checks)] == [(n, n), (n + 9, n + 9)] * 2
     assert len(fourier) == 1 and sparse == []
 
 
@@ -397,12 +400,12 @@ def test_condensed_solve_matches_full_sparse_solve_property(
 
 
 def _poison_condensed_matrix(monkeypatch, poison):
-    """Make fem.condensed_matrix return its matrix with A[0, 0] = poison."""
+    """Make fem.condensed_matrix return its matrices with A[0, 0] = poison."""
     real = fem.condensed_matrix
 
-    def poisoned(*args):
-        A = real(*args)
-        A[0, 0] = poison
+    def poisoned(*args, **kwargs):
+        A = real(*args, **kwargs)
+        A[..., 0, 0] = poison
         return A
 
     monkeypatch.setattr(fem, "condensed_matrix", poisoned)
@@ -423,6 +426,39 @@ def test_nan_matrix_raises_numerical_error(sigma, monkeypatch):
     for _ in range(2):  # LAPACK factored through the NaN: no solve succeeds
         with pytest.raises(ri.NumericalError):
             ri.solve_forward(system, g)
+
+
+def test_bad_matrix_gives_no_nd_form(sigma, monkeypatch):
+    # the ND form factors A itself: the same refusal as assemble_system's check
+    # for a matrix that is not positive definite, and no form from a NaN
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    gamma = np.full((2, mesh.n_interface_nodes), 2.0)
+    _poison_condensed_matrix(monkeypatch, -1.0)
+    for make in (ri.assemble_system, lambda *args: ndmap.nd_form(*args, 4)):
+        with pytest.raises(ri.NumericalError, match="condensed matrix is not positive definite"):
+            make(mesh, sigma, gamma)
+    _poison_condensed_matrix(monkeypatch, np.nan)
+    for member in (gamma, gamma[0]):
+        with pytest.raises(ri.NumericalError):
+            ndmap.nd_form(mesh, sigma, member, 4)
+
+
+def test_inverse_form_borders_the_condensed_matrix(mesh_coarse, sigma):
+    # Z^T A^-1 Z against a solve, and the leading block of a bordered matrix
+    # is condensed_matrix itself, for a nodal and an arcwise stack
+    rng = np.random.default_rng(8)
+    n = mesh_coarse.n_interface_nodes
+    Z = rng.standard_normal((n, 5))
+    for gamma in _stacks(mesh_coarse, 4):
+        A = condensed_matrix(mesh_coarse, sigma, gamma)
+        bordered = condensed_matrix(mesh_coarse, sigma, gamma, border=5)
+        assert bordered.shape == (4, n + 5, n + 5)
+        assert np.array_equal(bordered[:, :n, :n], A)
+        ref = Z.T @ np.linalg.solve(A, Z)
+        forms = fem.inverse_form(mesh_coarse, sigma, gamma, Z)
+        assert np.abs(forms - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(forms, np.swapaxes(forms, 1, 2))
+        assert np.array_equal(fem.inverse_form(mesh_coarse, sigma, _member(gamma, 1), Z), forms[1])
 
 
 def test_non_finite_solution_raises_numerical_error(system_coarse):

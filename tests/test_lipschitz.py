@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import robininv as ri
-from robininv import fem
+from robininv import fem, lipschitz
 from robininv.lipschitz import (
     build_gamma_km,
     compute_gkm,
@@ -224,6 +224,32 @@ def test_lockstep_runs_match_single_runs(mesh_coarse, sigma, monkeypatch):
         assert single.g_norm_sq == e.g_norm_sq
         assert single.functional_value == e.functional_value
     assert report.G == max(e.g_norm_sq for e in report.entries)
+
+
+def test_verify_stability_factors_each_gamma_once_and_solves_nothing(
+    full_report, mesh_mid, sigma, monkeypatch
+):
+    report, _ = full_report
+    n, d = mesh_mid.n_interface_nodes, 2 * report.n_modes + 1
+    span = fem._BORDERED_BYTES // (8 * (n + d) ** 2)
+    factored = []  # members of each Cholesky call
+    real = fem.cholesky
+
+    def spy(K):
+        factored.append(len(K))
+        return real(K)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("no system and no solve")
+
+    monkeypatch.setattr(fem, "cholesky", spy)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    for module in (fem, lipschitz):
+        monkeypatch.setattr(module, "assemble_system", refuse)
+    samples = ri.verify_stability(report, mesh_mid, sigma, 50, seed=4, n_modes=report.n_modes)
+    assert len(samples) == 50 and 2 <= span < 100
+    # one bordered factorization per span of the 100 coefficients
+    assert factored == [span] * (100 // span) + [100 % span] * (100 % span > 0)
 
 
 def test_verify_stability_refuses_fewer_modes_than_the_report(full_report, mesh_mid, sigma):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robininv as ri
-from robininv import ndmap
+from robininv import fem, ndmap
 
 
 def make_system(mesh, sigma, gamma_values):
@@ -43,7 +43,7 @@ def test_self_adjointness(system_coarse):
 
 
 def test_basis_orthonormal(system_mid):
-    B = ri.orthonormal_boundary_basis(system_mid, 8)
+    B = ri.orthonormal_boundary_basis(system_mid.mesh, 8)
     gram = B.T @ (system_mid.mesh.boundary_mass @ B)
     assert np.abs(gram - np.eye(17)).max() < 1e-10
 
@@ -51,7 +51,7 @@ def test_basis_orthonormal(system_mid):
 def test_basis_too_large(system_coarse):
     # 2*16+1 = 33 > 32 boundary nodes
     with pytest.raises(ri.ParameterError):
-        ri.orthonormal_boundary_basis(system_coarse, 16)
+        ri.orthonormal_boundary_basis(system_coarse.mesh, 16)
 
 
 def test_nd_form_symmetric(system_mid):
@@ -239,6 +239,28 @@ def test_alessandrini_random_sweep(mesh_coarse, sigma):
         assert ri.alessandrini_residual(s1, s2, g, h) <= 1e-10
 
 
+@pytest.mark.parametrize("rung", [(2, 2, 32), (4, 4, 64), (8, 8, 128)])
+def test_form_matches_the_solve_based_reference(rung, sigma):
+    # F0 + H H^T from the bordered factor against B^T M Lambda B from solves,
+    # for a nodal and an arcwise stack and for each of their members alone
+    mesh = ri.generate_disk_mesh(*rung)
+    rng = np.random.default_rng(rung[2])
+    stacks = [
+        rng.uniform(0.5, 3.0, (3, mesh.n_interface_nodes)),
+        ri.ArcwiseGamma(ri.interface_partition(mesh, 4), rng.uniform(0.5, 3.0, (3, 4))),
+    ]
+    M = mesh.boundary_mass
+    for n_modes in (4, min(16, (mesh.n_boundary_nodes - 1) // 2)):  # 15 modes fit on 32 nodes
+        for gamma in stacks:
+            for member in (gamma, *(fem._members(gamma, i) for i in range(3))):
+                system = ri.assemble_system(mesh, sigma, member)
+                F = ri.nd_form_matrix(system, n_modes)
+                ref = F.basis.T @ (M @ ri.apply_nd(system, F.basis))
+                assert F.matrix.shape == ref.shape
+                assert np.abs(F.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
+                assert np.array_equal(F.matrix, np.swapaxes(F.matrix, -1, -2))
+
+
 def test_nd_form_stays_on_the_ring(system_coarse, no_nodal_field):
     F = ri.nd_form_matrix(system_coarse, 4)
     assert F.matrix.shape == (9, 9)
@@ -267,7 +289,7 @@ def test_basis_built_once_per_mesh_and_modes(sigma, monkeypatch):
 
 
 def test_cached_basis_is_read_only(system_coarse):
-    B = ri.orthonormal_boundary_basis(system_coarse, 4)
+    B = ri.orthonormal_boundary_basis(system_coarse.mesh, 4)
     F = ri.nd_form_matrix(system_coarse, 4)
     assert F.basis is B
     assert not B.flags.writeable
