@@ -34,7 +34,7 @@ from . import (
     lipschitz_constant,
     localized_potential,
     nodal_field,
-    nd_form_matrix,
+    nd_form,
     nd_quadratic_form,
     save_mesh,
     solve_forward,
@@ -50,6 +50,11 @@ EXIT_NUMERICAL = 2
 EXIT_NOT_ACHIEVED = 3
 
 NOISE_LEVELS = (0.0, 0.01, 0.03, 0.05, 0.1)
+
+# most special coefficients gamma^(km), K * partition_m with K = floor(4(b/a - 1)) + 1,
+# that a config may ask of the lipschitz driver, whose time and memory grow
+# with this count: 10,000 take about 2 s on (4,4,64)
+MAX_GAMMA_KM = 10_000
 
 
 @dataclass
@@ -114,10 +119,21 @@ def check_ranges(cfg: ExperimentConfig, where: str) -> None:
         (cfg.n_modes >= 1, "n_modes must be >= 1"),
         # the interface of a generated mesh has n_theta edges
         (1 <= cfg.partition_m <= cfg.n_theta, "partition_m must be in 1 .. n_theta"),
+        (cfg.alpha > 0, "alpha must be > 0"),
+        (cfg.beta > 0, "beta must be > 0"),
     )
     for ok, message in rules:
         if not ok:
             raise ParameterError(f"{where}: {message}")
+    # after the rules above, which keep a > 0 and partition_m >= 1; 4 (b/a - 1)
+    # may overflow to inf
+    steps = 4.0 * (cfg.b / cfg.a - 1.0)
+    if steps >= MAX_GAMMA_KM or (math.floor(steps) + 1) * cfg.partition_m > MAX_GAMMA_KM:
+        raise ParameterError(
+            f"{where}: a = {cfg.a!r}, b = {cfg.b!r} and partition_m = {cfg.partition_m} ask "
+            f"for more than {MAX_GAMMA_KM} coefficients gamma^(km): K * partition_m with "
+            "K = floor(4 (b/a - 1)) + 1"
+        )
 
 
 def check_basis_fits(cfg: ExperimentConfig) -> None:
@@ -132,6 +148,7 @@ def check_basis_fits(cfg: ExperimentConfig) -> None:
 
 def parse_config(path: str) -> ExperimentConfig:
     cfg = ExperimentConfig()
+    set_on = {}  # key -> the line that set it
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -144,6 +161,11 @@ def parse_config(path: str) -> ExperimentConfig:
                 key = "reg_lambda"
             if key not in CONFIG_KINDS:
                 raise ParameterError(f"{path}:{lineno}: unknown config key '{key}'")
+            if key in set_on:
+                raise ParameterError(
+                    f"{path}:{lineno}: {key} is set twice, on lines {set_on[key]} and {lineno}"
+                )
+            set_on[key] = lineno
             kind = CONFIG_KINDS[key]
             if kind is str:
                 setattr(cfg, key, value)
@@ -262,7 +284,7 @@ def cmd_ndmap(cfg, out):
     check_basis_fits(cfg)
     mesh, sigma = _mesh_sigma(cfg)
     gamma = gamma_selector(cfg.gamma_true, mesh.interface_theta)
-    form = nd_form_matrix(assemble_system(mesh, sigma, gamma), cfg.n_modes)
+    form = nd_form(mesh, sigma, gamma, cfg.n_modes)
     rows = [
         (i, j, float(form.matrix[i, j]))
         for i in range(form.matrix.shape[0])

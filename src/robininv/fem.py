@@ -41,11 +41,12 @@ _SCHUR_BLOCK = 32
 # bytes of matrices in one coefficient stack of :func:`assemble_stacks`:
 # 16 matrices of 64 x 64 on (4,4,64)
 _STACK_BYTES = 16 * 64 * 64 * 8
-# bytes of bordered matrices in one span of :func:`inverse_form`: 3 of 73 x 73
-# on (4,4,64) with 4 modes. The factor doubles them; spans of 8 or more of
-# these fault fresh pages in on every call instead of reusing the heap's.
-_BORDERED_BYTES = 128 * 1024
-# beta of the border beta I in :func:`inverse_form`: beta I - Z^T A^-1 Z stays
+# bytes of matrices in one span of :func:`inverse_form`: 3 bordered 73 x 73 or
+# 4 arcwise 64 x 64 on (4,4,64) with 4 modes. The factor doubles them; spans of
+# 8 or more bordered ones fault fresh pages in on every call instead of reusing
+# the heap's.
+_FORM_BYTES = 128 * 1024
+# beta of the border beta I in :func:`_bordered_forms`: beta I - Z^T A^-1 Z stays
 # positive definite while Z^T A^-1 Z is below it, and its factor, about
 # sqrt(beta), cannot overflow
 _BORDER = float(np.sqrt(np.finfo(float).max))
@@ -80,14 +81,14 @@ class ArcwiseGamma:
         self.partition = partition
         self.values = values
 
-    def min(self) -> float:
-        return float(self.values.min())
 
-
-def _gamma_values(mesh: Mesh, gamma):
-    """gamma itself if arcwise, else its nodal values, checked: (n_Gamma,) or (s, n_Gamma)."""
+def _gamma_values(mesh: Mesh, gamma) -> np.ndarray:
+    """The values of gamma, checked against the mesh: nodal (n_Gamma,) or (s, n_Gamma),
+    arcwise (M,) or (s, M)."""
     if isinstance(gamma, ArcwiseGamma):
-        return gamma
+        if mesh.n_interface_nodes != len(gamma.partition.arc_of_edge):
+            raise ParameterError("partition does not match this mesh")
+        return gamma.values
     gamma = np.asarray(gamma, dtype=float)
     if gamma.ndim not in (1, 2) or gamma.shape[-1] != mesh.n_interface_nodes:
         raise ParameterError("gamma must have one value per interface node")
@@ -98,19 +99,23 @@ def edge_ends(mesh: Mesh, gamma):
     """gamma at the first and at the second node of every interface edge: (g0, g1),
     each (n_edges,) or (s, n_edges). Edge e runs from node e to node e + 1;
     an arcwise gamma is constant on each edge."""
-    gamma = _gamma_values(mesh, gamma)
+    values = _gamma_values(mesh, gamma)
     if isinstance(gamma, ArcwiseGamma):
-        if mesh.n_interface_nodes != len(gamma.partition.arc_of_edge):
-            raise ParameterError("partition does not match this mesh")
-        per_edge = gamma.values.take(gamma.partition.arc_of_edge, axis=-1)
+        per_edge = values.take(gamma.partition.arc_of_edge, axis=-1)
         return per_edge, per_edge
-    return gamma, gamma.take(mesh.interface_next, axis=-1)
+    return values, values.take(mesh.interface_next, axis=-1)
 
 
-def _gamma_min(mesh: Mesh, gamma) -> float:
-    if isinstance(gamma, ArcwiseGamma):
-        return gamma.min()
-    return float(np.asarray(gamma, dtype=float).min())
+def _check_coercive(gamma) -> None:
+    values = gamma.values if isinstance(gamma, ArcwiseGamma) else np.asarray(gamma, dtype=float)
+    if not values.min() > 0.0:  # also rejects NaN
+        raise CoercivityError("gamma must be bounded below by a positive constant")
+
+
+def _spans(count: int, member_bytes: int, cap: int) -> list:
+    """Consecutive slices of range(count), each of at most cap bytes of members (at least one)."""
+    size = max(1, cap // member_bytes)
+    return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def _members(gamma, index):
@@ -362,38 +367,52 @@ def gamma_free_part(mesh: Mesh, sigma: Conductivity) -> GammaFreePart:
     return part
 
 
-def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma, border: int = 0) -> np.ndarray:
-    """A = T + C_Gamma(gamma), the dense matrix of K(sigma, gamma) condensed onto the interface.
+def robin_matrix(mesh: Mesh, gamma, out: np.ndarray | None = None) -> np.ndarray:
+    """C_Gamma(gamma), the cyclic-tridiagonal Robin term alone: (n, n), or (s, n, n)
+    for a stack of s. With out, it is added to the leading n x n block of each
+    matrix of out instead, and out is returned.
 
-    Only the cyclic-tridiagonal Robin term C_Gamma depends on gamma. A stack
-    of s coefficients gives s matrices, (s, n, n). For gamma linear on an
-    edge of length L with end values g0 and g1, the edge matrix
-    int gamma N_i N_j ds is exactly (L / 12) [[3 g0 + g1, g0 + g1], [g0 + g1, g0 + 3 g1]].
-    With a border, each matrix is (n + border) square with A as its leading
-    block; the border rows and columns are left unset for the caller to fill.
+    For gamma linear on an edge of length L with end values g0 and g1, the edge
+    matrix int gamma N_i N_j ds is exactly (L / 12) [[3 g0 + g1, g0 + g1], [g0 + g1, g0 + 3 g1]].
+    The arcwise gamma whose values are the rows of the identity gives C_m,
+    the P1 mass of the edges of arc m, one per arc.
     """
-    if not _gamma_min(mesh, gamma) > 0.0:  # also rejects NaN
-        raise CoercivityError("gamma must be bounded below by a positive constant")
     g0, g1 = edge_ends(mesh, gamma)
     w = mesh.interface_edge_lengths / 12.0
     k00, k01, k11 = w * (3.0 * g0 + g1), w * (g0 + g1), w * (g0 + 3.0 * g1)
-    T = gamma_free_part(mesh, sigma).T  # before A, so the first set-up does not hold A too
-    stack = k01.shape[:-1]
-    n = len(T)
-    r = n + border
-    A = np.empty(stack + (r, r))
-    A[..., :n, :n] = T
+    n = len(w)
+    if out is None:
+        out = np.zeros(k01.shape[:-1] + (n, n))
+    r = out.shape[-1]
     # edge e joins interface positions e and e + 1 (cyclic); in a flat matrix of
     # rows of r, strides of r + 1 run along the diagonal (from 0), above it
     # (from 1) and below it (from r)
-    flat = A.reshape(stack + (r * r,))
+    flat = out.reshape(out.shape[:-2] + (r * r,))
     end = (n - 1) * (r + 1)  # one past the last entry of the block on a stride from 0
     flat[..., : end + 1 : r + 1] += k00 + k11.take(mesh.interface_prev, axis=-1)
     flat[..., 1:end : r + 1] += k01[..., :-1]
     flat[..., (n - 1) * r] += k01[..., -1]
     flat[..., r:end : r + 1] += k01[..., :-1]
     flat[..., n - 1] += k01[..., -1]
-    return A
+    return out
+
+
+def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma, border: int = 0) -> np.ndarray:
+    """A = T + C_Gamma(gamma), the dense matrix of K(sigma, gamma) condensed onto the interface.
+
+    Only the Robin term C_Gamma of :func:`robin_matrix` depends on gamma. A
+    stack of s coefficients gives s matrices, (s, n, n). With a border, each
+    matrix is (n + border) square with A as its leading block; the border rows
+    and columns are left unset for the caller to fill.
+    """
+    _check_coercive(gamma)
+    stack = _gamma_values(mesh, gamma).shape[:-1]
+    T = gamma_free_part(mesh, sigma).T  # before A, so the first set-up does not hold A too
+    n = len(T)
+    r = n + border
+    A = np.empty(stack + (r, r))
+    A[..., :n, :n] = T
+    return robin_matrix(mesh, gamma, out=A)
 
 
 def robin_covector(mesh: Mesh, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -436,42 +455,86 @@ def assemble_stacks(mesh: Mesh, sigma: Conductivity, gamma):
     Each system holds at most _STACK_BYTES of matrices (at least one), so a
     long stack never holds all of its matrices at once.
     """
-    values = gamma.values if isinstance(gamma, ArcwiseGamma) else _gamma_values(mesh, gamma)
+    values = _gamma_values(mesh, gamma)
     if values.ndim != 2:
         raise ParameterError("assemble_stacks takes a stack of coefficients")
-    count = len(values)
-    size = max(1, _STACK_BYTES // (8 * mesh.n_interface_nodes**2))
-    for lo in range(0, count, size):
-        span = slice(lo, min(lo + size, count))
+    for span in _spans(len(values), 8 * mesh.n_interface_nodes**2, _STACK_BYTES):
         yield span, assemble_system(mesh, sigma, _members(gamma, span))
 
 
 def inverse_form(mesh: Mesh, sigma: Conductivity, gamma, Z: np.ndarray) -> np.ndarray:
     """Z^T A(gamma)^-1 Z for Z of shape (n, d): (d, d), or (s, d, d) for a stack of s.
 
-    One Cholesky factorization of the bordered matrix K = [[A, Z], [Z^T, beta I]]
-    gives both the definiteness check of A, as in :func:`assemble_system`, and
-    the form: the factor of K is [[L_A, 0], [H, *]] with H = Z^T L_A^-T, so
-    Z^T A^-1 Z = H H^T, symmetric and with no solve. The stack is factored in
-    spans of at most _BORDERED_BYTES of bordered matrices.
+    Each gamma costs one Cholesky factorization, which is also the
+    definiteness check of A, as in :func:`assemble_system`, and no solve of
+    size n. The stack is factored in spans of at most _FORM_BYTES of matrices.
+    A nodal gamma factors a bordered matrix (:func:`_bordered_forms`), an
+    arcwise one an n x n matrix in a basis adapted to Z (:func:`_adapted_forms`).
     """
-    values = gamma.values if isinstance(gamma, ArcwiseGamma) else _gamma_values(mesh, gamma)
+    values = _gamma_values(mesh, gamma)
     if values.ndim == 1:
         return inverse_form(mesh, sigma, _members(gamma, None), Z)[0]
+    forms = (_adapted_forms if isinstance(gamma, ArcwiseGamma) else _bordered_forms)(
+        mesh, sigma, gamma, Z
+    )
+    if not np.isfinite(forms).all():  # a NaN in A may pass the Cholesky factorization
+        raise NumericalError("condensed matrix gave a non-finite form")
+    return forms
+
+
+def _bordered_forms(mesh: Mesh, sigma: Conductivity, gamma, Z: np.ndarray):
+    """Z^T A^-1 Z of a stack from the bordered matrices K = [[A, Z], [Z^T, beta I]].
+
+    The factor of K is [[L_A, 0], [H, *]] with H = Z^T L_A^-T, so
+    Z^T A^-1 Z = H H^T, symmetric and with no solve.
+    """
     n, d = Z.shape
-    forms = np.empty((len(values), d, d))
-    size = max(1, _BORDERED_BYTES // (8 * (n + d) ** 2))
-    for lo in range(0, len(forms), size):
-        span = slice(lo, lo + size)
+    forms = np.empty((len(_gamma_values(mesh, gamma)), d, d))
+    for span in _spans(len(forms), 8 * (n + d) ** 2, _FORM_BYTES):
         K = condensed_matrix(mesh, sigma, _members(gamma, span), border=d)
         K[:, :n, n:] = Z
         K[:, n:, :n] = Z.T
         K[:, n:, n:] = _BORDER * np.eye(d)
         H = _checked_cholesky(K)[:, n:, :n]
         forms[span] = H @ np.swapaxes(H, 1, 2)
-    if not np.isfinite(forms).all():  # a NaN in A may pass the Cholesky factorization
-        raise NumericalError("condensed matrix gave a non-finite form")
     return forms
+
+
+def _adapted_terms(mesh: Mesh, sigma: Conductivity, partition: PartitionSpec, Z: np.ndarray):
+    """T' = Phi^T T Phi, flat (n^2,), the C'_m = Phi^T C_m Phi of the M arcs, flat
+    (M, n^2), and R_Z (r, d), r = min(n, d), for the orthogonal Phi = [Q_perp | Q_Z]
+    of a complete QR of Z: Phi^T Z = [0; R_Z]. C_m is the Robin term of arc m
+    (:func:`robin_matrix`), so Phi^T A(gamma) Phi = T' + sum_m gamma_m C'_m."""
+    n, d = Z.shape
+    r = min(n, d)
+    Q, R = np.linalg.qr(Z, mode="complete")
+    Phi = np.concatenate([Q[:, r:], Q[:, :r]], axis=1)
+    C = robin_matrix(mesh, ArcwiseGamma(partition, np.eye(partition.n_arcs)))
+    T = gamma_free_part(mesh, sigma).T
+    return (Phi.T @ T @ Phi).ravel(), (Phi.T @ C @ Phi).reshape(len(C), n * n), R[:r]
+
+
+def _adapted_forms(mesh: Mesh, sigma: Conductivity, gamma: ArcwiseGamma, Z: np.ndarray):
+    """Z^T A^-1 Z of an arcwise stack from A' = Phi^T A Phi of :func:`_adapted_terms`.
+
+    Z^T A^-1 Z = R_Z^T (A'^-1)_22 R_Z, and the trailing r x r block of A'^-1 is
+    the inverse of the Schur complement L_22 L_22^T that the trailing block of
+    the factor of A' holds, so Z^T A^-1 Z = Y^T Y with Y = L_22^-1 R_Z. A' is
+    orthogonally similar to A: its factorization is A's definiteness check.
+    Each span of A' is one matmul of its arc values with the C'_m; the r x r
+    solves of all spans are one stacked call.
+    """
+    _check_coercive(gamma)
+    n = len(Z)
+    T, C, R_Z = _adapted_terms(mesh, sigma, gamma.partition, Z)
+    lead = n - len(R_Z)
+    trailing = np.empty((len(gamma.values), n - lead, n - lead))
+    for span in _spans(len(trailing), 8 * n * n, _FORM_BYTES):
+        A = gamma.values[span] @ C
+        A += T
+        trailing[span] = _checked_cholesky(A.reshape(-1, n, n))[:, lead:, lead:]
+    Y = np.linalg.solve(trailing, R_Z)
+    return np.swapaxes(Y, 1, 2) @ Y
 
 
 def _solve(system: SparseSystem, interface_load=None, boundary_load=None) -> np.ndarray:

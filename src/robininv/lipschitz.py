@@ -22,9 +22,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .fem import ArcwiseGamma, Conductivity, SparseSystem, assemble_stacks, assemble_system
+from .fem import (
+    ArcwiseGamma,
+    Conductivity,
+    SparseSystem,
+    assemble_stacks,
+    assemble_system,
+    robin_matrix,
+)
 from .locpot import apply_Astar, arc_edge_mask, edge_integrals_sq
-from .mesh import Mesh, PartitionSpec, curve_mass
+from .mesh import Mesh, PartitionSpec
 from .ndmap import NdForm, nd_form, operator_norm_diff, orthonormal_boundary_basis
 
 
@@ -109,10 +116,11 @@ def gkm_condition(
 
 def _condition_forms(mesh: Mesh, partition: PartitionSpec, b_over_a: float) -> np.ndarray:
     """D_m = (1/2 + w) M_arc_m - w M_Gamma with w = 2 b/a - 1, one per arc: u^T D_m u
-    is :func:`gkm_condition` of arc m for P1 u. M_arc_m is the P1 mass of arc m's edges."""
-    on_arc = partition.arc_of_edge == np.arange(partition.n_arcs)[:, None]
+    is :func:`gkm_condition` of arc m for P1 u. M_arc_m, the P1 mass of arc m's
+    edges, is the Robin term of the coefficient 1 on arc m and 0 elsewhere."""
+    arc_masses = robin_matrix(mesh, ArcwiseGamma(partition, np.eye(partition.n_arcs)))
     w = 2.0 * b_over_a - 1.0
-    return (0.5 + w) * curve_mass(mesh.interface_edge_lengths * on_arc) - w * mesh.interface_mass
+    return (0.5 + w) * arc_masses - w * mesh.interface_mass
 
 
 def _conditions(system: SparseSystem, U, C, on_arc, b_over_a) -> np.ndarray:
@@ -229,8 +237,8 @@ def verify_stability(
     stated constant 1/G. Refuses incomplete reports, and an n_modes below the
     report's: G bounds the ND difference only on a span holding its currents.
     The ND forms of all 2 n_samples coefficients come from one
-    :func:`robininv.ndmap.nd_form` call: one Cholesky factorization per
-    coefficient and no solve.
+    :func:`robininv.ndmap.nd_form` call: one n x n Cholesky factorization per
+    coefficient and no solve of size n.
     """
     if not report.complete:
         raise ParameterError("stability verification requires a complete report")

@@ -109,8 +109,9 @@ def orthonormal_boundary_basis(mesh: Mesh, n_modes: int) -> np.ndarray:
 def nd_form(mesh: Mesh, sigma: Conductivity, gamma, n_modes: int) -> NdForm:
     """The ND form of gamma, or one per member of a coefficient stack, (s, d, d):
     F0 + Z^T A(gamma)^-1 Z, symmetric by construction, from one Cholesky
-    factorization per gamma and no solve. Z and F0 are built once per
-    (mesh, sigma, n_modes) and kept read-only in ``mesh.cache``."""
+    factorization per gamma and no solve of size n (:func:`robininv.fem.inverse_form`).
+    Z and F0 are built once per (mesh, sigma, n_modes) and kept read-only in
+    ``mesh.cache``."""
     B = orthonormal_boundary_basis(mesh, n_modes)
     key = ("nd_terms", sigma, n_modes)
     terms = mesh.cache.get(key)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .fem import (
     Conductivity,
     SparseSystem,
@@ -99,8 +99,12 @@ def _evaluate(system: SparseSystem, fluxes: np.ndarray, measurements: np.ndarray
     residuals = trace_boundary(mesh, states) - measurements
     M_B, M_G = mesh.boundary_mass, mesh.interface_mass
     M_G_gamma = (M_G @ gamma[..., None])[..., 0]
-    misfit = (residuals * (M_B @ residuals)).reshape(len(gamma), -1).sum(axis=1)
-    J = (0.5 * misfit + 0.5 * lam * (gamma * M_G_gamma).sum(axis=1)).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        misfit = (residuals * (M_B @ residuals)).reshape(len(gamma), -1).sum(axis=1)
+        J = 0.5 * misfit + 0.5 * lam * (gamma * M_G_gamma).sum(axis=1)
+    if not np.isfinite(J).all():  # e.g. measurements so large that their squares overflow
+        raise NumericalError("the cost is not finite")
+    J = J.tolist()
 
     def covector(index) -> np.ndarray:
         members = system if len(index) == len(J) else system.members(index)

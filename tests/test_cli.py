@@ -97,6 +97,23 @@ def test_forward_command(tmp_path):
     assert len(rows) == 1 + 2 * 32 + 2 * 32  # node count of the (2,2,32) mesh
 
 
+def test_ndmap_command_factors_its_gamma_once(tmp_path, monkeypatch):
+    factored = []
+    real = fem.cholesky
+
+    def spy(K):
+        factored.append(K.shape)
+        return real(K)
+
+    monkeypatch.setattr(fem, "cholesky", spy)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, COARSE + "n_modes = 4\n")
+    assert cli.main(["ndmap", "--config", cfg, "--out", str(out)]) == 0
+    assert factored == [(1, 32 + 9, 32 + 9)]  # the bordered matrix of its one gamma
+    _, rows = read_csv(out / "ndform.csv")
+    assert len(rows) == 9 * 9
+
+
 def test_monotonicity_command_ordering(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -140,17 +157,17 @@ def test_lipschitz_command(tmp_path):
 
 
 def test_lipschitz_nan_in_an_nd_form_exits_2(tmp_path, monkeypatch):
-    # a NaN in the condensed matrices of the ND forms only: the report is
+    # a NaN in the matrices of the arcwise ND forms only: the report is
     # written, then verify_stability stops with a numerical error and no CSV
-    real = fem.condensed_matrix
+    real = fem._adapted_terms
 
-    def poisoned(*args, border=0):
-        A = real(*args, border=border)
-        if border:
-            A[..., 0, 0] = np.nan
-        return A
+    def poisoned(*args):
+        T, C, R_Z = real(*args)
+        T = T.copy()
+        T[0] = np.nan
+        return T, C, R_Z
 
-    monkeypatch.setattr(fem, "condensed_matrix", poisoned)
+    monkeypatch.setattr(fem, "_adapted_terms", poisoned)
     cfg = write_config(tmp_path, COARSE + "n_modes = 4\n")
     out = tmp_path / "out"
     assert cli.main(["lipschitz", "--config", cfg, "--out", str(out)]) == 2
@@ -168,6 +185,16 @@ def test_reconstruct_command(tmp_path):
     J = [float(r[1]) for r in rows]
     assert all(b <= a + 1e-15 for a, b in zip(J, J[1:]))
     assert "rel_L2_error" in (out / "summary.txt").read_text()
+
+
+def test_non_finite_cost_exits_2(tmp_path, capsys):
+    # noise of 1e200 makes data whose squares overflow: the cost is not finite,
+    # which is a numerical failure, not a run that ends with J = nan
+    cfg = write_config(tmp_path, "n_r_inner = 2\nn_r_outer = 2\nn_theta = 16\neps = 1e200\n")
+    out = tmp_path / "out"
+    assert cli.main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+    assert "the cost is not finite" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_bad_config_path_exit_code(tmp_path):
@@ -264,14 +291,57 @@ def test_bad_eps_rejected(tmp_path, value):
     "line",
     ["seed = -1", f"seed = {2**64}", "max_iter = -3", "gtol = -1e-6", "reg_lambda = -1.0",
      "c0 = 0", "c1 = 1e-4", "a = -1", "b = 0.5", "n_r_inner = 0", "n_r_outer = 0",
-     "n_theta = 31", "n_modes = 0", "partition_m = 0", "partition_m = 33"],
+     "n_theta = 31", "n_modes = 0", "partition_m = 0", "partition_m = 33", "alpha = -1",
+     "alpha = 0", "beta = 0", "beta = -0.5"],
 )
 def test_out_of_range_config_values_exit_1(tmp_path, line):
     key = line.split()[0]
-    cfg = write_config(tmp_path, COARSE + "eps = 0.01\n" + line + "\n")
+    # the line takes the place of the key's line in COARSE: a key is set once
+    base = "".join(f"{kept}\n" for kept in COARSE.splitlines() if kept.split(" ")[0] != key)
+    cfg = write_config(tmp_path, base + "eps = 0.01\n" + line + "\n")
     with pytest.raises(ri.ParameterError, match=rf"\b{key} (and|must)\b"):
         cli.parse_config(cfg)
     assert cli.main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("eps = 1\neps = 2\n", "eps is set twice, on lines 1 and 2"),
+        ("lambda = 1\n\nreg_lambda = 2\n", "reg_lambda is set twice, on lines 1 and 3"),
+    ],
+)
+def test_repeated_key_names_the_key_and_both_lines(tmp_path, text, message):
+    cfg = write_config(tmp_path, text)
+    with pytest.raises(ri.ParameterError, match=message):
+        cli.parse_config(cfg)
+    assert cli.main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_locpot_rejects_a_trivial_target(tmp_path, capsys):
+    # with alpha <= 0 the target int_arc u^2 >= alpha holds for the zero current
+    cfg = write_config(tmp_path, COARSE + "alpha = -1\n")
+    out = tmp_path / "out"
+    assert cli.main(["locpot", "--config", cfg, "--out", str(out)]) == 1
+    assert "alpha must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lipschitz_work_bound(tmp_path, capsys):
+    # K * partition_m special coefficients, K = floor(4(b/a - 1)) + 1, are
+    # bounded before anything is built: a = 1e-6, b = 1 asks for about 1.6e7
+    for text in ("a = 1e-6\nb = 1\n", "a = 1e-300\nb = 1e300\n", "b = 626\npartition_m = 4\n"):
+        cfg = write_config(tmp_path, COARSE + text)
+        out = tmp_path / "out"
+        assert cli.main(["lipschitz", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert all(f"{key} = " in err for key in ("a", "b", "partition_m"))
+        assert f"more than {cli.MAX_GAMMA_KM} coefficients" in err
+        assert not out.exists()
+    # K = 2500 on 4 arcs is the largest count accepted
+    cfg = cli.parse_config(write_config(tmp_path, "b = 625.75\npartition_m = 4\n"))
+    assert ri.compute_K(cfg.a, cfg.b) * cfg.partition_m == cli.MAX_GAMMA_KM
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])

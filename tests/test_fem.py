@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import robininv as ri
 from robininv import cli, fem, ndmap
 from robininv.fem import condensed_matrix
+from robininv.mesh import curve_mass
 
 
 def _sparse(mesh, local, cells):
@@ -313,10 +314,10 @@ def test_many_solves_factor_once(sigma, monkeypatch):
     ri.nd_form_matrix(system, 4)
     assert [A.shape for A in _matrices(checks)] == [(n, n), (n + 9, n + 9)]
     assert np.array_equal(_matrices(checks)[1][:n, :n], system.matrix)
-    # a new gamma on the same (mesh, sigma) costs its check and its form only
-    other = ri.assemble_system(mesh, sigma, np.full(n, 3.0))
-    ri.nd_form_matrix(other, 4)
-    assert [A.shape for A in _matrices(checks)] == [(n, n), (n + 9, n + 9)] * 2
+    # the ND form of a new gamma on the same (mesh, sigma), taken without a
+    # system as the ndmap driver takes it, costs its bordered factorization only
+    ndmap.nd_form(mesh, sigma, np.full(n, 3.0), 4)
+    assert [A.shape for A in _matrices(checks)] == [(n, n), (n + 9, n + 9), (n + 9, n + 9)]
     assert len(fourier) == 1 and sparse == []
 
 
@@ -441,6 +442,49 @@ def test_bad_matrix_gives_no_nd_form(sigma, monkeypatch):
     for member in (gamma, gamma[0]):
         with pytest.raises(ri.NumericalError):
             ndmap.nd_form(mesh, sigma, member, 4)
+
+
+def test_robin_matrix_is_the_gamma_part_of_the_condensed_matrix(mesh_coarse, sigma):
+    # condensed_matrix adds robin_matrix to T; the Robin terms of the arcs'
+    # indicators are the P1 masses of their edges, which sum to the interface mass
+    T = fem.gamma_free_part(mesh_coarse, sigma).T
+    for gamma in _stacks(mesh_coarse, 3):
+        C = fem.robin_matrix(mesh_coarse, gamma)
+        assert C.shape == (3,) + T.shape
+        assert np.array_equal(T + C, condensed_matrix(mesh_coarse, sigma, gamma))
+    part = ri.interface_partition(mesh_coarse, 4)
+    masses = fem.robin_matrix(mesh_coarse, ri.ArcwiseGamma(part, np.eye(4)))
+    on_arc = part.arc_of_edge == np.arange(4)[:, None]
+    reference = curve_mass(mesh_coarse.interface_edge_lengths * on_arc)
+    assert np.abs(masses - reference).max() <= 1e-15 * np.abs(reference).max()
+    total = mesh_coarse.interface_mass
+    assert np.abs(masses.sum(axis=0) - total).max() <= 1e-15 * np.abs(total).max()
+
+
+def test_bad_adapted_matrix_gives_no_nd_form(sigma, monkeypatch):
+    # the arcwise form factors A' = Phi^T A Phi: the same refusal as
+    # assemble_system's check for a matrix that is not positive definite, no
+    # form from a NaN, and the coefficient checks of condensed_matrix
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    part = ri.interface_partition(mesh, 4)
+    gamma = ri.ArcwiseGamma(part, np.full((2, 4), 2.0))
+    with pytest.raises(ri.CoercivityError):
+        ndmap.nd_form(mesh, sigma, ri.ArcwiseGamma(part, [2.0, 2.0, 0.0, 2.0]), 4)
+    with pytest.raises(ri.ParameterError, match="partition does not match"):
+        ndmap.nd_form(ri.generate_disk_mesh(2, 2, 16), sigma, gamma, 4)
+    real = fem._adapted_terms
+    for poison, match in ((-1.0, "condensed matrix is not positive definite"), (np.nan, None)):
+
+        def poisoned(*args, poison=poison):
+            T, C, R_Z = real(*args)
+            T = T.copy()
+            T[0] = poison  # A'[0, 0] of every member
+            return T, C, R_Z
+
+        monkeypatch.setattr(fem, "_adapted_terms", poisoned)
+        for member in (gamma, _member(gamma, 0)):
+            with pytest.raises(ri.NumericalError, match=match):
+                ndmap.nd_form(mesh, sigma, member, 4)
 
 
 def test_inverse_form_borders_the_condensed_matrix(mesh_coarse, sigma):

@@ -231,25 +231,34 @@ def test_verify_stability_factors_each_gamma_once_and_solves_nothing(
 ):
     report, _ = full_report
     n, d = mesh_mid.n_interface_nodes, 2 * report.n_modes + 1
-    span = fem._BORDERED_BYTES // (8 * (n + d) ** 2)
-    factored = []  # members of each Cholesky call
-    real = fem.cholesky
+    span = fem._FORM_BYTES // (8 * n * n)
+    factored = []  # the shape of each Cholesky call
+    solved = []  # the shape of each solve's matrices
+    real_cholesky, real_solve = fem.cholesky, np.linalg.solve
 
     def spy(K):
-        factored.append(len(K))
-        return real(K)
+        factored.append(K.shape)
+        return real_cholesky(K)
+
+    def small_solves_only(a, b):
+        solved.append(a.shape)
+        assert a.shape[-1] < n, "no solve of size n"
+        return real_solve(a, b)
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("no system and no solve")
+        raise AssertionError("no system")
 
     monkeypatch.setattr(fem, "cholesky", spy)
-    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "solve", small_solves_only)
     for module in (fem, lipschitz):
         monkeypatch.setattr(module, "assemble_system", refuse)
     samples = ri.verify_stability(report, mesh_mid, sigma, 50, seed=4, n_modes=report.n_modes)
     assert len(samples) == 50 and 2 <= span < 100
-    # one bordered factorization per span of the 100 coefficients
-    assert factored == [span] * (100 // span) + [100 % span] * (100 % span > 0)
+    # one n x n factorization per coefficient, in spans of the 100 coefficients
+    sizes = [span] * (100 // span) + [100 % span] * (100 % span > 0)
+    assert factored == [(size, n, n) for size in sizes]
+    # and one stacked solve of the d x d trailing blocks of the factors
+    assert solved == [(100, d, d)]
 
 
 def test_verify_stability_refuses_fewer_modes_than_the_report(full_report, mesh_mid, sigma):

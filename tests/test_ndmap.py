@@ -239,15 +239,39 @@ def test_alessandrini_random_sweep(mesh_coarse, sigma):
         assert ri.alessandrini_residual(s1, s2, g, h) <= 1e-10
 
 
-@pytest.mark.parametrize("rung", [(2, 2, 32), (4, 4, 64), (8, 8, 128)])
-def test_form_matches_the_solve_based_reference(rung, sigma):
-    # F0 + H H^T from the bordered factor against B^T M Lambda B from solves,
-    # for a nodal and an arcwise stack and for each of their members alone
+def _bordered_form(mesh, sigma, gamma, n_modes):
+    """F0 + Z^T A^-1 Z of an arcwise gamma from the bordered factor that nodal
+    coefficients take, instead of the basis adapted to Z."""
+    Z, F0 = mesh.cache[("nd_terms", sigma, n_modes)]
+    stack = gamma if gamma.values.ndim == 2 else fem._members(gamma, None)
+    forms = F0 + fem._bordered_forms(mesh, sigma, stack, Z)
+    return forms if gamma.values.ndim == 2 else forms[0]
+
+
+@pytest.mark.parametrize(
+    "rung, moved",
+    [
+        pytest.param((2, 2, 32), False, id="rung0"),
+        pytest.param((4, 4, 64), False, id="rung1"),
+        pytest.param((8, 8, 128), False, id="rung2"),
+        pytest.param((2, 2, 32), True, id="moved"),
+    ],
+)
+def test_form_matches_the_solve_based_reference(rung, moved, sigma):
+    # F0 + Z^T A^-1 Z against B^T M Lambda B from solves, for a nodal stack and
+    # arcwise stacks on 1, 3 and 4 arcs, and for each of their members alone;
+    # an arcwise form from the adapted basis also against the bordered factor.
+    # A moved center leaves the mesh without its theta symmetry, so its
+    # condensation takes the sparse path.
     mesh = ri.generate_disk_mesh(*rung)
+    if moved:
+        nodes = mesh.nodes.copy()
+        nodes[0] += 1e-3
+        mesh = dataclasses.replace(mesh, nodes=nodes)
     rng = np.random.default_rng(rung[2])
-    stacks = [
-        rng.uniform(0.5, 3.0, (3, mesh.n_interface_nodes)),
-        ri.ArcwiseGamma(ri.interface_partition(mesh, 4), rng.uniform(0.5, 3.0, (3, 4))),
+    stacks = [rng.uniform(0.5, 3.0, (3, mesh.n_interface_nodes))] + [
+        ri.ArcwiseGamma(ri.interface_partition(mesh, arcs), rng.uniform(0.5, 3.0, (3, arcs)))
+        for arcs in (1, 3, 4)
     ]
     M = mesh.boundary_mass
     for n_modes in (4, min(16, (mesh.n_boundary_nodes - 1) // 2)):  # 15 modes fit on 32 nodes
@@ -259,6 +283,9 @@ def test_form_matches_the_solve_based_reference(rung, sigma):
                 assert F.matrix.shape == ref.shape
                 assert np.abs(F.matrix - ref).max() <= 1e-12 * np.abs(ref).max()
                 assert np.array_equal(F.matrix, np.swapaxes(F.matrix, -1, -2))
+                if isinstance(member, ri.ArcwiseGamma):
+                    bordered = _bordered_form(mesh, sigma, member, n_modes)
+                    assert np.abs(F.matrix - bordered).max() <= 1e-12 * np.abs(bordered).max()
 
 
 def test_nd_form_stays_on_the_ring(system_coarse, no_nodal_field):
