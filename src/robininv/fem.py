@@ -30,7 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.linalg import LinAlgError, cholesky
+from numpy.linalg import LinAlgError, cholesky, inv
 
 from .errors import CoercivityError, NumericalError, ParameterError
 from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec
@@ -44,7 +44,8 @@ _STACK_BYTES = 16 * 64 * 64 * 8
 # bytes of matrices in one span of :func:`inverse_form`: 3 bordered 73 x 73 or
 # 4 arcwise 64 x 64 on (4,4,64) with 4 modes. The factor doubles them; spans of
 # 8 or more bordered ones fault fresh pages in on every call instead of reusing
-# the heap's.
+# the heap's. :func:`arc_step_traces` cuts its spans by the same bytes of its
+# (n, p + d) member arrays: 9 members on (4,4,64) with 4 arcs and 4 modes.
 _FORM_BYTES = 128 * 1024
 # beta of the border beta I in :func:`_bordered_forms`: beta I - Z^T A^-1 Z stays
 # positive definite while Z^T A^-1 Z is below it, and its factor, about
@@ -535,6 +536,64 @@ def _adapted_forms(mesh: Mesh, sigma: Conductivity, gamma: ArcwiseGamma, Z: np.n
         trailing[span] = _checked_cholesky(A.reshape(-1, n, n))[:, lead:, lead:]
     Y = np.linalg.solve(trailing, R_Z)
     return np.swapaxes(Y, 1, 2) @ Y
+
+
+def arc_step_traces(mesh: Mesh, sigma: Conductivity, base, partition: PartitionSpec,
+                    arcs, steps, g: np.ndarray):
+    """Yield (span, U) for consecutive spans of the members i of arcs and steps:
+    U[j] is the interface trace of the forward solve of the currents g (n_B, d)
+    for the coefficient base + steps[i] on arc arcs[i] (0-based), i = span.start + j.
+
+    A(base + t 1_arc m) = A0 + t C_m, and the Robin term C_m of arc m touches only
+    the p nodes P of that arc, so one inverse of A0 = A(base) and one p x p
+    solve per member give every trace (Sherman-Morrison-Woodbury; Hager, SIAM
+    Review 31, 1989): with U0 = A0^-1 F, F = -W^T M_B g, G = C_m[P, P] and
+    S = A0^-1[P, P], U = U0 - A0^-1[:, P] X where (I + t G S) X = t G U0[P].
+    A0 is checked positive definite, as :func:`assemble_system` checks it, and
+    t C_m is positive semidefinite for t >= 0, so every A0 + t C_m is too.
+    One stacked p x p solve serves a span of at most _FORM_BYTES of the
+    (n, p + d) arrays of its members.
+    """
+    arcs, steps = np.asarray(arcs, dtype=np.int64), np.asarray(steps, dtype=float)
+    if arcs.ndim != 1 or arcs.shape != steps.shape:
+        raise ParameterError("one step per arc index required")
+    if ((arcs < 0) | (arcs >= partition.n_arcs)).any():
+        raise ParameterError("arc index out of range")
+    if not (steps >= 0.0).all():  # also rejects NaN
+        raise ParameterError("steps must be >= 0")
+    A0 = condensed_matrix(mesh, sigma, base)
+    if A0.ndim != 2:
+        raise ParameterError("arc_step_traces takes one base coefficient")
+    _checked_cholesky(A0)
+    try:
+        A0_inv = inv(A0)
+    except LinAlgError as exc:
+        raise NumericalError(f"linear solve failed: {exc}") from exc
+    load = _curve_load(mesh.boundary_mass, g, "boundary")
+    U0 = A0_inv @ -(gamma_free_part(mesh, sigma).W.T @ load)
+    C = robin_matrix(mesh, ArcwiseGamma(partition, np.eye(partition.n_arcs)))
+    on_arc = C.diagonal(axis1=1, axis2=2) > 0.0  # (M, n): the nodes P of each arc
+    p = int(on_arc.sum(axis=1).max())
+    # P per arc, padded at its end to p with nodes off the arc: their rows and
+    # columns of C_m are zero, so their rows of I + t G S are rows of I with a
+    # zero right side, X is exactly zero on them, and every member is one
+    # p x p system
+    P = np.argsort(~on_arc, axis=1, kind="stable")[:, :p]
+    arc = np.arange(len(C))[:, None]
+    A0_inv_P = np.swapaxes(A0_inv[:, P], 0, 1)  # (M, n, p)
+    G = C[arc[:, :, None], P[:, :, None], P[:, None, :]]  # (M, p, p)
+    GS, GU0 = G @ A0_inv_P[arc, P], G @ U0[P]
+    n, d = U0.shape
+    for span in _spans(len(arcs), 8 * n * (p + d), _FORM_BYTES):
+        t, m = steps[span, None, None], arcs[span]
+        try:
+            X = np.linalg.solve(np.eye(p) + t * GS[m], t * GU0[m])
+        except LinAlgError as exc:
+            raise NumericalError(f"capacitance solve failed: {exc}") from exc
+        U = U0 - A0_inv_P[m] @ X
+        if not np.isfinite(U).all():
+            raise NumericalError("linear solve produced non-finite values")
+        yield span, U
 
 
 def _solve(system: SparseSystem, interface_load=None, boundary_load=None) -> np.ndarray:

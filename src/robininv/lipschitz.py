@@ -21,16 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
-from .fem import (
-    ArcwiseGamma,
-    Conductivity,
-    SparseSystem,
-    assemble_stacks,
-    assemble_system,
-    robin_matrix,
-)
-from .locpot import apply_Astar, arc_edge_mask, edge_integrals_sq
+from .errors import NumericalError, ParameterError
+from .fem import ArcwiseGamma, Conductivity, SparseSystem, arc_step_traces
+from .locpot import arc_edge_mask, edge_integrals_sq
 from .mesh import Mesh, PartitionSpec
 from .ndmap import NdForm, nd_form, operator_norm_diff, orthonormal_boundary_basis
 
@@ -109,60 +102,78 @@ def gkm_condition(
 ) -> float:
     """(1/2) int_{arc m} u^2 - (2 b/a - 1) int_{Gamma \\ arc m} u^2 (1-based m)."""
     mask = arc_edge_mask(partition, [m - 1])
-    per_edge = edge_integrals_sq(system, u_iface)
+    per_edge = edge_integrals_sq(system.mesh, u_iface)
     on, off = float(per_edge[mask].sum()), float(per_edge[~mask].sum())
     return 0.5 * on - (2.0 * b_over_a - 1.0) * off
 
 
-def _condition_forms(mesh: Mesh, partition: PartitionSpec, b_over_a: float) -> np.ndarray:
-    """D_m = (1/2 + w) M_arc_m - w M_Gamma with w = 2 b/a - 1, one per arc: u^T D_m u
-    is :func:`gkm_condition` of arc m for P1 u. M_arc_m, the P1 mass of arc m's
-    edges, is the Robin term of the coefficient 1 on arc m and 0 elsewhere."""
-    arc_masses = robin_matrix(mesh, ArcwiseGamma(partition, np.eye(partition.n_arcs)))
-    w = 2.0 * b_over_a - 1.0
-    return (0.5 + w) * arc_masses - w * mesh.interface_mass
+def _condition_gram(mesh: Mesh, U, on_arc, b_over_a) -> np.ndarray:
+    """Q = U^T D U per member, (s, d, d), for traces U (s, n_Gamma, d): c^T Q c is
+    :func:`gkm_condition` of the trace U c on the arc marked by the edge row of
+    on_arc (s, n_edges). D is the P1 mass of the interface edges, each weighted
+    by 1/2 on the arc and by -(2 b/a - 1) elsewhere: edge e of length L adds
+    w L / 6 [[2, 1], [1, 2]] at its nodes e and e + 1."""
+    weight = np.where(on_arc, 0.5, 1.0 - 2.0 * b_over_a)
+    w = (weight * (mesh.interface_edge_lengths / 6.0))[..., None]
+    ends = U.take(mesh.interface_next, axis=1)
+    DU = w * (2.0 * U + ends)  # from the edges that start at each node
+    DU += (w * (U + 2.0 * ends)).take(mesh.interface_prev, axis=1)  # and those that end there
+    return np.swapaxes(U, 1, 2) @ DU
 
 
-def _conditions(system: SparseSystem, U, C, on_arc, b_over_a) -> np.ndarray:
+def _conditions(mesh: Mesh, U, C, on_arc, b_over_a) -> np.ndarray:
     """:func:`gkm_condition` of every current c of C (s, d), whose traces are U c
     for U (s, n_Gamma, d), on the arcs marked by the edge rows of on_arc (s, n_edges)."""
-    per_edge = edge_integrals_sq(system, (U @ C[:, :, None])[:, :, 0])
+    per_edge = edge_integrals_sq(mesh, (U @ C[:, :, None])[:, :, 0])
     on = np.where(on_arc, per_edge, 0.0).sum(axis=1)
     off = np.where(on_arc, 0.0, per_edge).sum(axis=1)
     return 0.5 * on - (2.0 * b_over_a - 1.0) * off
 
 
-def _gkm_entries(system: SparseSystem, km, forms, b_over_a, partition, n_modes) -> list:
-    """The minimal-norm currents g^(km) of a stack of gamma^(km) systems, one
-    (k, m) per member: one stacked solve of the basis and one stacked eigh.
+def _gkm_entries(mesh: Mesh, km, U, basis, b_over_a, partition) -> list:
+    """The minimal-norm currents g^(km), one per (k, m) of km, from the interface
+    traces U (s, n_Gamma, d) of the basis currents: one stacked eigh.
 
     c^T Q c = 1 holds in exact arithmetic for c = v / sqrt(lambda_max), but
     rounding can leave the computed condition a little below 1; such currents
     are scaled up until it is >= 1.0 as computed. Where it is not positive (or
     lambda_max is not), the entry is missed: the zero current and 0.0.
     """
-    basis = orthonormal_boundary_basis(system.mesh, n_modes)
-    U = apply_Astar(system, basis)  # (s, n_Gamma, d)
     arcs = np.array([m - 1 for _, m in km])
-    lam, V = np.linalg.eigh(np.swapaxes(U, 1, 2) @ forms[arcs] @ U)
+    on_arc = partition.arc_of_edge == arcs[:, None]
+    lam, V = np.linalg.eigh(_condition_gram(mesh, U, on_arc, b_over_a))
     lam_max = lam[:, -1]
     reach = lam_max > 0.0
     C = np.where(reach[:, None], V[:, :, -1], 0.0)
     C /= np.sqrt(np.where(reach, lam_max, 1.0))[:, None]
-    on_arc = partition.arc_of_edge == arcs[:, None]
-    values, bump = _conditions(system, U, C, on_arc, b_over_a), 2.0**-50
+    values, bump = _conditions(mesh, U, C, on_arc, b_over_a), 2.0**-50
     low = (0.0 < values) & (values < 1.0)
     while low.any():  # an entry still low has been low since the start: one bump serves all
         C[low] *= (np.sqrt(1.0 / values[low]) + bump)[:, None]
-        values[low] = _conditions(system, U[low], C[low], on_arc[low], b_over_a)
+        values[low] = _conditions(mesh, U[low], C[low], on_arc[low], b_over_a)
         low, bump = (0.0 < values) & (values < 1.0), 2.0 * bump
     achieved = values >= 1.0
     C[~achieved], values[~achieved] = 0.0, 0.0
     entries = []
     for (k, m), c, value, hit in zip(km, C, values.tolist(), achieved.tolist()):
         g = basis @ c
-        g_norm_sq = float(g @ (system.mesh.boundary_mass @ g))
+        g_norm_sq = float(g @ (mesh.boundary_mass @ g))
         entries.append(GkmEntry(k, m, g, g_norm_sq, achieved=hit, functional_value=value))
+    return entries
+
+
+def _gkm_stack(mesh: Mesh, sigma: Conductivity, km, a: float, b: float,
+               partition: PartitionSpec, n_modes: int) -> list:
+    """The entries of the (k, m) of km. gamma^(km) is a/2 plus t_k = (k+3)a/4 on
+    arc m, so :func:`robininv.fem.arc_step_traces` gives the traces of the basis
+    currents of every gamma^(km) from one inverse of A(a/2), span by span."""
+    basis = orthonormal_boundary_basis(mesh, n_modes)
+    base = ArcwiseGamma(partition, np.full(partition.n_arcs, a / 2.0))
+    arcs = np.array([m - 1 for _, m in km])
+    steps = np.array([(k + 3) * a / 4.0 for k, _ in km])
+    entries = []
+    for span, U in arc_step_traces(mesh, sigma, base, partition, arcs, steps, basis):
+        entries += _gkm_entries(mesh, km[span], U, basis, b / a, partition)
     return entries
 
 
@@ -180,10 +191,9 @@ def compute_gkm(
     :func:`lipschitz_constant`, as a stack of one."""
     if not 1 <= k <= compute_K(a, b):
         raise ParameterError(f"k={k} out of range 1..{compute_K(a, b)}")
-    gamma = gamma_km_arcwise(k, m, a, partition)
-    system = assemble_system(mesh, sigma, ArcwiseGamma(partition, gamma.values[None]))
-    forms = _condition_forms(mesh, partition, b / a)
-    return _gkm_entries(system, [(k, m)], forms, b / a, partition, n_modes)[0]
+    if not 1 <= m <= partition.n_arcs:
+        raise ParameterError(f"arc index m={m} out of range")
+    return _gkm_stack(mesh, sigma, [(k, m)], a, b, partition, n_modes)[0]
 
 
 def lipschitz_constant(
@@ -197,18 +207,15 @@ def lipschitz_constant(
     """All K*M minimal-norm currents g^(km) in the span of 2 n_modes + 1 basis
     functions, and G = max ||g||^2.
 
-    The gamma^(km) are assembled as bounded stacks; each stack takes one
-    stacked solve of the basis and one stacked eigenproblem.
+    Every gamma^(km) differs from the constant a/2 on one arc only, so one
+    factorization and one inverse of A(a/2) serve all of them: each (k, m)
+    then costs one p x p solve for the p nodes of arc m, in bounded spans,
+    and each span one stacked eigenproblem.
     """
     K = compute_K(a, b)
     report = LipschitzReport(a=a, b=b, K=K, n_modes=n_modes, partition=partition)
     km = [(k, m) for k in range(1, K + 1) for m in range(1, partition.n_arcs + 1)]
-    gammas = ArcwiseGamma(
-        partition, np.stack([gamma_km_arcwise(k, m, a, partition).values for k, m in km])
-    )
-    forms = _condition_forms(mesh, partition, b / a)
-    for span, system in assemble_stacks(mesh, sigma, gammas):
-        report.entries += _gkm_entries(system, km[span], forms, b / a, partition, n_modes)
+    report.entries = _gkm_stack(mesh, sigma, km, a, b, partition, n_modes)
     achieved = [e for e in report.entries if e.achieved]
     report.complete = len(achieved) == len(report.entries)
     if achieved:
@@ -236,6 +243,8 @@ def verify_stability(
     norm, and their ratio, to compare against the proof constant G and the
     stated constant 1/G. Refuses incomplete reports, and an n_modes below the
     report's: G bounds the ND difference only on a span holding its currents.
+    A pair whose forms agree to rounding (e.g. when a tiny sigma2 makes the
+    gamma-free part of the form swamp the rest) raises NumericalError.
     The ND forms of all 2 n_samples coefficients come from one
     :func:`robininv.ndmap.nd_form` call: one n x n Cholesky factorization per
     coefficient and no solve of size n.
@@ -259,10 +268,16 @@ def verify_stability(
         NdForm(n_modes, forms.basis, forms.matrix[0::2]),
         NdForm(n_modes, forms.basis, forms.matrix[1::2]),
     )
+    if not (nd_norms > 0.0).all():  # distinct gammas have distinct forms in exact arithmetic
+        raise NumericalError(
+            "the ND forms of a pair of distinct coefficients agree to rounding: "
+            "their stability ratio is unbounded"
+        )
     samples = []
     for (v1, v2), diff, nd_norm in zip(pairs, diff_inf.tolist(), nd_norms.tolist()):
-        ratio = diff / nd_norm if nd_norm > 0 else np.inf
         samples.append(
-            StabilitySample(gamma1=v1, gamma2=v2, diff_inf=diff, nd_diff_norm=nd_norm, ratio=ratio)
+            StabilitySample(
+                gamma1=v1, gamma2=v2, diff_inf=diff, nd_diff_norm=nd_norm, ratio=diff / nd_norm
+            )
         )
     return samples

@@ -21,7 +21,7 @@ from .fem import (
     trace_boundary,
     trace_interface,
 )
-from .mesh import PartitionSpec
+from .mesh import Mesh, PartitionSpec
 
 
 @dataclass
@@ -117,17 +117,17 @@ def runge_approximate(system: SparseSystem, f, tol: float, max_iter: int) -> Cgn
     return cgne_solve(system, f, stop, max_iter)
 
 
-def edge_integrals_sq(system: SparseSystem, u_iface) -> np.ndarray:
+def edge_integrals_sq(mesh: Mesh, u_iface) -> np.ndarray:
     """int over every interface edge of u^2 ds, exact for piecewise-linear u;
     per row for a stack of traces (s, n_Gamma)."""
     a = np.asarray(u_iface, dtype=float)
-    b = a.take(system.mesh.interface_next, axis=-1)
-    return system.mesh.interface_edge_lengths * (a * a + a * b + b * b) / 3.0
+    b = a.take(mesh.interface_next, axis=-1)
+    return mesh.interface_edge_lengths * (a * a + a * b + b * b) / 3.0
 
 
 def arc_integral_sq(system: SparseSystem, u_iface, edge_mask: np.ndarray) -> float:
     """int over the masked edges of u^2 ds, exact for piecewise-linear u."""
-    return float(edge_integrals_sq(system, u_iface)[edge_mask].sum())
+    return float(edge_integrals_sq(system.mesh, u_iface)[edge_mask].sum())
 
 
 def arc_edge_mask(partition: PartitionSpec, arcs) -> np.ndarray:
@@ -176,7 +176,7 @@ def localized_potential(
     state = {"scale": None, "ratio": None}
 
     def stop(_it, _res, u_trace, _g):
-        per_edge = edge_integrals_sq(system, u_trace)
+        per_edge = edge_integrals_sq(system.mesh, u_trace)
         off = float(per_edge[~mask].sum())
         if off <= 0.0:
             return False

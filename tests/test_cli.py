@@ -1,7 +1,13 @@
 import dataclasses
+import math
+import pathlib
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robininv as ri
 from robininv import cli, fem
@@ -409,3 +415,82 @@ def test_write_csv_matches_per_value_formatting(tmp_path):
     cli.write_csv(path, ["a", "b", "c", "d"], rows, cfg)
     expected = [f"# config={cli.config_hash(cfg)} seed={cfg.seed}", "a,b,c,d"]
     assert path.read_text() == "\n".join(expected + [old_line(row) for row in rows]) + "\n"
+
+
+def test_regularization_bound_names_both_keys(tmp_path, capsys):
+    # reg_lambda * c1 bounds the regularization gradient; past 1e100 the
+    # line search's slope, about its square, overflows
+    for text, code in (("reg_lambda = 1e300\n", 1), ("reg_lambda = 1e98\nc1 = 2000\n", 1),
+                       ("reg_lambda = 1e98\nc1 = 10\nmax_iter = 1\n", 0)):
+        cfg = write_config(tmp_path, "n_r_inner = 1\nn_r_outer = 1\nn_theta = 8\n" + text)
+        assert cli.main(["reconstruct", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    assert "reg_lambda * c1 must be <= 1e+100" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, error", [("1e300", 1.0), ("1e-300", 1e300)])
+def test_relative_error_of_extreme_true_coefficients(tmp_path, value, error):
+    # the relative L2 error is scaled by the largest value, so a true gamma of
+    # 1e+-300 neither overflows nor underflows when squared
+    cfg = write_config(tmp_path, f"n_r_inner = 1\nn_r_outer = 1\nn_theta = 8\nmax_iter = 2\n"
+                                 f"gamma_true = constant:{value}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+    rel = float((out / "summary.txt").read_text().split("rel_L2_error=")[1])
+    assert error / 2 < rel < 2 * error
+
+
+def test_lipschitz_pairs_without_an_nd_difference_exit_2(tmp_path, capsys):
+    # sigma2 = 1e-300 makes the gamma-free part of every ND form swamp the
+    # rest: the forms of a pair agree to rounding and no ratio is finite
+    cfg = write_config(tmp_path, "n_r_inner = 1\nn_r_outer = 1\nn_theta = 8\nn_modes = 2\n"
+                                 "partition_m = 2\nb = 1.5\nsigma2 = 1e-300\n")
+    out = tmp_path / "out"
+    assert cli.main(["lipschitz", "--config", cfg, "--out", str(out)]) == 2
+    assert "agree to rounding" in capsys.readouterr().err
+    assert not (out / "lipschitz_verification.csv").exists()
+
+
+# the property test's small base config: every driver finishes in milliseconds
+_TINY = {"n_r_inner": "1", "n_r_outer": "1", "n_theta": "8", "max_iter": "3", "n_modes": "2",
+         "partition_m": "2", "cgne_max_iter": "10", "b": "1.5"}
+_NUMBERS = ["0", "-1", "-2.5", "1e300", "-1e300", "1e-300", "-1e-300", "nan", "inf", "-inf"]
+_MALFORMED = ["", "abc", "1 2", "0x10", "1e", "--1", "x" * 500, "1" * 300 + "x"]
+_SELECTORS = [f"{kind}:{v}" for kind in ("constant", "cos", "sin") for v in _NUMBERS + ["", "x"]]
+
+
+def _csv_floats(path):
+    for line in path.read_text().splitlines()[2:]:
+        for token in line.split(","):
+            try:
+                yield float(token)
+            except ValueError:
+                continue
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(cli.COMMANDS)),
+    st.dictionaries(
+        st.sampled_from(sorted(cli.CONFIG_KINDS)),
+        st.sampled_from(_NUMBERS + _MALFORMED + _SELECTORS),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_any_config_exits_with_a_documented_code(subcommand, overrides):
+    # edge values for any keys of a small config: the driver returns 0..3,
+    # raises nothing, warns nothing, and a success writes only finite floats
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "cfg.txt"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**_TINY, **overrides}.items()))
+        out = pathlib.Path(tmp) / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([subcommand, "--config", str(cfg), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code == 0:
+            for csv in out.glob("*.csv"):
+                assert all(math.isfinite(v) for v in _csv_floats(csv)), csv.name

@@ -330,11 +330,12 @@ def test_masses_need_no_system(sigma, monkeypatch):
         assert not M.flags.writeable
     assert mesh.boundary_mass is mesh.boundary_mass  # built once per mesh
     assert mesh.cache == {} and fourier == sparse == checks == []  # nothing condensed
-    # lipschitz_constant reads the boundary mass from the mesh: one
-    # check per (k, m) system and no other
+    # lipschitz_constant reads the boundary mass from the mesh: one check of
+    # its base matrix A(a/2) serves every (k, m)
     part = ri.interface_partition(mesh, 2)
     report = ri.lipschitz_constant(mesh, sigma, 1.0, 1.2, part)
-    assert len(_matrices(checks)) == len(report.entries) == 2
+    assert len(report.entries) == 2
+    assert [A.shape for A in _matrices(checks)] == [(mesh.n_interface_nodes,) * 2]
     assert len(fourier) == 1 and sparse == []  # one set-up for this (mesh, sigma)
 
 
@@ -658,3 +659,83 @@ def test_assemble_stacks_takes_stacks_only(mesh_coarse, sigma):
         gamma = np.ones((3, mesh_coarse.n_interface_nodes))
         gamma[2, 5] = 0.0
         next(fem.assemble_stacks(mesh_coarse, sigma, gamma))
+
+
+def _arc_step_gap(mesh, sigma, partition, a, b):
+    """The largest gap of fem.arc_step_traces to assemble_system + apply_Astar over
+    every gamma^(km) of (a, b), relative to each member's largest trace value."""
+    km = [(k, m) for k in range(1, ri.compute_K(a, b) + 1) for m in range(partition.n_arcs)]
+    arcs = np.array([m for _, m in km])
+    steps = np.array([(k + 3) * a / 4.0 for k, _ in km])
+    base = ri.ArcwiseGamma(partition, np.full(partition.n_arcs, a / 2.0))
+    values = a / 2.0 + steps[:, None] * (arcs[:, None] == np.arange(partition.n_arcs))
+    g = ri.orthonormal_boundary_basis(mesh, 4)
+    gap, seen = 0.0, 0
+    for span, U in fem.arc_step_traces(mesh, sigma, base, partition, arcs, steps, g):
+        system = ri.assemble_system(mesh, sigma, ri.ArcwiseGamma(partition, values[span]))
+        ref = ri.apply_Astar(system, g)
+        scale = np.abs(ref).max(axis=(1, 2))
+        gap = max(gap, float((np.abs(U - ref).max(axis=(1, 2)) / scale).max()))
+        seen += len(U)
+    assert seen == len(km)
+    return gap
+
+
+@pytest.mark.parametrize("rung", [(2, 2, 32), (4, 4, 64)])
+def test_arc_step_traces_match_direct_solves(rung, sigma):
+    # one inverse of A(a/2) and a p x p correction per gamma^(km) give the
+    # traces of its own system, for one arc, a few, and one edge per arc
+    mesh = ri.generate_disk_mesh(*rung)
+    for n_arcs in (1, 3, 4, rung[2]):
+        assert _arc_step_gap(mesh, sigma, ri.interface_partition(mesh, n_arcs), 1.0, 2.0) <= 1e-12
+
+
+def test_arc_step_traces_match_direct_solves_off_the_fourier_path(sigma):
+    # a moved center condenses through the sparse interior factor
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    nodes = mesh.nodes.copy()
+    nodes[0] += 0.1
+    moved = dataclasses.replace(mesh, nodes=nodes)
+    assert fem._theta_wedge(moved) is None
+    assert _arc_step_gap(moved, sigma, ri.interface_partition(moved, 4), 1.0, 2.0) <= 1e-12
+
+
+def test_arc_step_traces_match_direct_solves_at_small_a(sigma):
+    # a = 1e-3 leaves A(a/2) close to the singular T, with steps up to 600 times a
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    assert _arc_step_gap(mesh, sigma, ri.interface_partition(mesh, 4), 1e-3, 0.6) <= 1e-9
+
+
+def test_arc_step_traces_check_their_input(mesh_coarse, sigma):
+    part = ri.interface_partition(mesh_coarse, 4)
+    base = ri.ArcwiseGamma(part, np.full(4, 0.5))
+    g = ri.orthonormal_boundary_basis(mesh_coarse, 2)
+
+    def first(base=base, arcs=(0, 3), steps=(1.0, 0.0)):
+        return next(fem.arc_step_traces(mesh_coarse, sigma, base, part, arcs, steps, g))
+
+    span, U = first()
+    assert span == slice(0, 2) and U.shape == (2, mesh_coarse.n_interface_nodes, 5)
+    for arcs, steps in (((0, 4), (1.0, 1.0)), ((-1,), (1.0,)), ((0,), (-1.0,)),
+                        ((0,), (np.nan,)), ((0, 1), (1.0,))):
+        with pytest.raises(ri.ParameterError):
+            first(arcs=arcs, steps=steps)
+    with pytest.raises(ri.ParameterError, match="one base"):
+        first(base=ri.ArcwiseGamma(part, np.full((2, 4), 0.5)))
+    with pytest.raises(ri.CoercivityError):
+        first(base=ri.ArcwiseGamma(part, [0.5, 0.5, 0.0, 0.5]))
+
+
+def test_bad_base_matrix_gives_no_traces(sigma, monkeypatch):
+    # A(a/2) is checked as assemble_system checks A, and a NaN that LAPACK
+    # factors through is caught by the finiteness check of the traces
+    mesh = ri.generate_disk_mesh(2, 2, 32)
+    part = ri.interface_partition(mesh, 4)
+    base = ri.ArcwiseGamma(part, np.full(4, 0.5))
+    g = ri.orthonormal_boundary_basis(mesh, 4)
+    for poison, match in ((-1.0, "condensed matrix is not positive definite"), (np.nan, None)):
+        _poison_condensed_matrix(monkeypatch, poison)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ri.NumericalError, match=match):
+                list(fem.arc_step_traces(mesh, sigma, base, part, [0, 1], [1.0, 2.0], g))

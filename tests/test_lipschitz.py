@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import robininv as ri
-from robininv import fem, lipschitz
+from robininv import cli, fem, lipschitz
 from robininv.lipschitz import (
     build_gamma_km,
     compute_gkm,
@@ -213,10 +213,18 @@ def test_verify_stability_samples(full_report, mesh_mid, sigma):
 
 def test_lockstep_runs_match_single_runs(mesh_coarse, sigma, monkeypatch):
     part = ri.interface_partition(mesh_coarse, 4)
-    n = mesh_coarse.n_interface_nodes
-    monkeypatch.setattr(fem, "_STACK_BYTES", 6 * 8 * n * n)  # stacks of 6, 6, 6 and 2
+    n, d, p = mesh_coarse.n_interface_nodes, 9, 9  # an arc of 8 edges has 9 nodes
+    monkeypatch.setattr(fem, "_FORM_BYTES", 6 * 8 * n * (p + d))
+    real, sizes = lipschitz.arc_step_traces, []
+
+    def recording(*args):
+        for span, U in real(*args):
+            sizes.append(len(U))
+            yield span, U
+
+    monkeypatch.setattr(lipschitz, "arc_step_traces", recording)
     report = ri.lipschitz_constant(mesh_coarse, sigma, 1.0, 2.0, part)
-    assert len(report.entries) == 20
+    assert len(report.entries) == 20 and sizes == [6, 6, 6, 2]
     for e in report.entries:
         single = compute_gkm(mesh_coarse, sigma, e.k, e.m, 1.0, 2.0, part)
         assert (single.k, single.m, single.achieved) == (e.k, e.m, e.achieved)
@@ -250,8 +258,7 @@ def test_verify_stability_factors_each_gamma_once_and_solves_nothing(
 
     monkeypatch.setattr(fem, "cholesky", spy)
     monkeypatch.setattr(np.linalg, "solve", small_solves_only)
-    for module in (fem, lipschitz):
-        monkeypatch.setattr(module, "assemble_system", refuse)
+    monkeypatch.setattr(fem, "assemble_system", refuse)
     samples = ri.verify_stability(report, mesh_mid, sigma, 50, seed=4, n_modes=report.n_modes)
     assert len(samples) == 50 and 2 <= span < 100
     # one n x n factorization per coefficient, in spans of the 100 coefficients
@@ -282,3 +289,52 @@ def test_verify_stability_draws_the_sample_pair_sequence(full_report, mesh_mid, 
             for v in (v1, v2)
         )
         assert sample.nd_diff_norm == pytest.approx(ri.operator_norm_diff(F1, F2), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rung, n_arcs, b, count", [((2, 2, 32), 2, 1.2, 2), ((4, 4, 64), 4, 20.0, 308)]
+)
+def test_lipschitz_constant_factors_one_base_matrix(rung, n_arcs, b, count, sigma, monkeypatch):
+    # every gamma^(km) is A(a/2) plus a Robin term on one arc: the check and the
+    # inverse of A(a/2) are the only n x n factorizations, and no solve is n x n
+    mesh = ri.generate_disk_mesh(*rung)
+    n = mesh.n_interface_nodes
+    fem.gamma_free_part(mesh, sigma)  # the (mesh, sigma) set-up is not counted
+    factored = []
+    real_cholesky, real_inv, real_solve = fem.cholesky, fem.inv, np.linalg.solve
+
+    def cholesky(A):
+        factored.append(("cholesky", A.shape))
+        return real_cholesky(A)
+
+    def inv(A):
+        factored.append(("inv", A.shape))
+        return real_inv(A)
+
+    def small_solves_only(A, B):
+        assert A.shape[-1] < n, "no solve of size n"
+        return real_solve(A, B)
+
+    monkeypatch.setattr(fem, "cholesky", cholesky)
+    monkeypatch.setattr(fem, "inv", inv)
+    monkeypatch.setattr(np.linalg, "solve", small_solves_only)
+    report = ri.lipschitz_constant(mesh, sigma, 1.0, b, ri.interface_partition(mesh, n_arcs))
+    assert len(report.entries) == count
+    assert factored == [("cholesky", (n, n)), ("inv", (n, n))]
+
+
+@pytest.mark.parametrize("poison", [np.nan, -1.0])
+def test_bad_base_matrix_exits_2_without_a_report(poison, tmp_path, monkeypatch):
+    real = fem.condensed_matrix
+
+    def poisoned(*args, **kwargs):
+        A = real(*args, **kwargs)
+        A[..., 0, 0] = poison
+        return A
+
+    monkeypatch.setattr(fem, "condensed_matrix", poisoned)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n_r_inner = 2\nn_r_outer = 2\nn_theta = 32\nn_modes = 4\n")
+    out = tmp_path / "out"
+    assert cli.main(["lipschitz", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "lipschitz_report.csv").exists()
