@@ -10,6 +10,7 @@ runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -495,14 +496,6 @@ def _cmd_example(cfg, out, which: str):
     return EXIT_OK
 
 
-def cmd_example1(cfg, out):
-    return _cmd_example(cfg, out, "example1")
-
-
-def cmd_example2(cfg, out):
-    return _cmd_example(cfg, out, "example2")
-
-
 COMMANDS = {
     "mesh": cmd_mesh,
     "forward": cmd_forward,
@@ -511,8 +504,8 @@ COMMANDS = {
     "locpot": cmd_locpot,
     "lipschitz": cmd_lipschitz,
     "reconstruct": cmd_reconstruct,
-    "example1": cmd_example1,
-    "example2": cmd_example2,
+    "example1": functools.partial(_cmd_example, which="example1"),
+    "example2": functools.partial(_cmd_example, which="example2"),
 }
 
 

@@ -38,15 +38,9 @@ from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec
 # ring columns per interior solve when forming S on a mesh without rotational
 # symmetry: a 32-column block of K_II^-1 K_IR takes 98 KB on (4,4,64)
 _SCHUR_BLOCK = 32
-# bytes of matrices in one coefficient stack of :func:`assemble_stacks`:
-# 16 matrices of 64 x 64 on (4,4,64)
-_STACK_BYTES = 16 * 64 * 64 * 8
-# bytes of matrices in one span of :func:`inverse_form`: 3 bordered 73 x 73 or
-# 4 arcwise 64 x 64 on (4,4,64) with 4 modes. The factor doubles them; spans of
-# 8 or more bordered ones fault fresh pages in on every call instead of reusing
-# the heap's. :func:`arc_step_traces` cuts its spans by the same bytes of its
-# (n, p + d) member arrays: 9 members on (4,4,64) with 4 arcs and 4 modes.
-_FORM_BYTES = 128 * 1024
+# bytes of the member arrays in one span of any stack, so memory does not grow with its
+# members: 16 matrices of a system stack, or 8 adapted forms with factors, on (4,4,64)
+_SPAN_BYTES = 512 * 1024
 # beta of the border beta I in :func:`_bordered_forms`: beta I - Z^T A^-1 Z stays
 # positive definite while Z^T A^-1 Z is below it, and its factor, about
 # sqrt(beta), cannot overflow
@@ -113,9 +107,9 @@ def _check_coercive(gamma) -> None:
         raise CoercivityError("gamma must be bounded below by a positive constant")
 
 
-def _spans(count: int, member_bytes: int, cap: int) -> list:
-    """Consecutive slices of range(count), each of at most cap bytes of members (at least one)."""
-    size = max(1, cap // member_bytes)
+def _spans(count: int, member_bytes: int) -> list:
+    """Consecutive slices of range(count), each of at most _SPAN_BYTES of members (at least one)."""
+    size = max(1, _SPAN_BYTES // member_bytes)
     return [slice(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
@@ -375,8 +369,6 @@ def robin_matrix(mesh: Mesh, gamma, out: np.ndarray | None = None) -> np.ndarray
 
     For gamma linear on an edge of length L with end values g0 and g1, the edge
     matrix int gamma N_i N_j ds is exactly (L / 12) [[3 g0 + g1, g0 + g1], [g0 + g1, g0 + 3 g1]].
-    The arcwise gamma whose values are the rows of the identity gives C_m,
-    the P1 mass of the edges of arc m, one per arc.
     """
     g0, g1 = edge_ends(mesh, gamma)
     w = mesh.interface_edge_lengths / 12.0
@@ -398,6 +390,29 @@ def robin_matrix(mesh: Mesh, gamma, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
+def arc_blocks(mesh: Mesh, partition: PartitionSpec):
+    """The nodes P (M, p) of every arc and the block G = C_m[P, P] (M, p, p) of its
+    Robin term C_m (:func:`robin_matrix` of the gamma that is 1 on arc m, 0 elsewhere).
+
+    Row m of P holds the nodes of arc m's edges ascending, padded to the largest
+    count p with the lowest nodes off the arc, whose rows and columns of C_m are
+    zero. G takes robin_matrix's weights in its order of operations, bit for bit."""
+    n, M, arc_of_edge = mesh.n_interface_nodes, partition.n_arcs, partition.arc_of_edge
+    nxt, prv, arc = mesh.interface_next, mesh.interface_prev, np.arange(M)[:, None]
+    on = np.zeros((M, n), dtype=bool)
+    on[arc_of_edge, np.arange(n)] = on[arc_of_edge, nxt] = True
+    p = int(on.sum(axis=1).max())
+    # each row of [on, off] has n entries set: nonzero lists the arc's nodes, then the others
+    P = (np.nonzero(np.hstack([on, ~on]))[1] % n).reshape(M, n)[:, :p]
+    # g0 = g1 = 1 on the edges P -> next and prev -> P of the arc
+    starts, ends = arc_of_edge[P] == arc, arc_of_edge[prv[P]] == arc
+    w = mesh.interface_edge_lengths / 12.0
+    G = (nxt[P][..., None] == P[:, None, :]) * (w[P] * 2.0 * starts)[..., None]
+    G = G + np.swapaxes(G, 1, 2)
+    G.reshape(M, -1)[:, :: p + 1] = w[P] * 4.0 * starts + w[prv[P]] * 4.0 * ends
+    return P, G
+
+
 def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma, border: int = 0) -> np.ndarray:
     """A = T + C_Gamma(gamma), the dense matrix of K(sigma, gamma) condensed onto the interface.
 
@@ -410,8 +425,7 @@ def condensed_matrix(mesh: Mesh, sigma: Conductivity, gamma, border: int = 0) ->
     stack = _gamma_values(mesh, gamma).shape[:-1]
     T = gamma_free_part(mesh, sigma).T  # before A, so the first set-up does not hold A too
     n = len(T)
-    r = n + border
-    A = np.empty(stack + (r, r))
+    A = np.empty(stack + (n + border,) * 2)
     A[..., :n, :n] = T
     return robin_matrix(mesh, gamma, out=A)
 
@@ -453,13 +467,13 @@ def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
 def assemble_stacks(mesh: Mesh, sigma: Conductivity, gamma):
     """Yield (span, system) for consecutive spans of a coefficient stack.
 
-    Each system holds at most _STACK_BYTES of matrices (at least one), so a
+    Each system holds at most _SPAN_BYTES of matrices (at least one), so a
     long stack never holds all of its matrices at once.
     """
     values = _gamma_values(mesh, gamma)
     if values.ndim != 2:
         raise ParameterError("assemble_stacks takes a stack of coefficients")
-    for span in _spans(len(values), 8 * mesh.n_interface_nodes**2, _STACK_BYTES):
+    for span in _spans(len(values), 8 * mesh.n_interface_nodes**2):
         yield span, assemble_system(mesh, sigma, _members(gamma, span))
 
 
@@ -468,16 +482,15 @@ def inverse_form(mesh: Mesh, sigma: Conductivity, gamma, Z: np.ndarray) -> np.nd
 
     Each gamma costs one Cholesky factorization, which is also the
     definiteness check of A, as in :func:`assemble_system`, and no solve of
-    size n. The stack is factored in spans of at most _FORM_BYTES of matrices.
-    A nodal gamma factors a bordered matrix (:func:`_bordered_forms`), an
-    arcwise one an n x n matrix in a basis adapted to Z (:func:`_adapted_forms`).
+    size n. A span of the stack holds at most _SPAN_BYTES of matrices and factors.
+    An arcwise gamma of M arcs with M n <= 64 d, the measured break-even, factors
+    an n x n matrix in a basis adapted to Z (:func:`_adapted_forms`); any other
+    one the bordered (n + d) square matrix (:func:`_bordered_forms`).
     """
-    values = _gamma_values(mesh, gamma)
-    if values.ndim == 1:
+    if _gamma_values(mesh, gamma).ndim == 1:
         return inverse_form(mesh, sigma, _members(gamma, None), Z)[0]
-    forms = (_adapted_forms if isinstance(gamma, ArcwiseGamma) else _bordered_forms)(
-        mesh, sigma, gamma, Z
-    )
+    adapted = isinstance(gamma, ArcwiseGamma) and gamma.partition.n_arcs * len(Z) <= 64 * Z.shape[1]
+    forms = (_adapted_forms if adapted else _bordered_forms)(mesh, sigma, gamma, Z)
     if not np.isfinite(forms).all():  # a NaN in A may pass the Cholesky factorization
         raise NumericalError("condensed matrix gave a non-finite form")
     return forms
@@ -491,7 +504,7 @@ def _bordered_forms(mesh: Mesh, sigma: Conductivity, gamma, Z: np.ndarray):
     """
     n, d = Z.shape
     forms = np.empty((len(_gamma_values(mesh, gamma)), d, d))
-    for span in _spans(len(forms), 8 * (n + d) ** 2, _FORM_BYTES):
+    for span in _spans(len(forms), 16 * (n + d) ** 2):  # K and its factor
         K = condensed_matrix(mesh, sigma, _members(gamma, span), border=d)
         K[:, :n, n:] = Z
         K[:, n:, :n] = Z.T
@@ -505,32 +518,32 @@ def _adapted_terms(mesh: Mesh, sigma: Conductivity, partition: PartitionSpec, Z:
     """T' = Phi^T T Phi, flat (n^2,), the C'_m = Phi^T C_m Phi of the M arcs, flat
     (M, n^2), and R_Z (r, d), r = min(n, d), for the orthogonal Phi = [Q_perp | Q_Z]
     of a complete QR of Z: Phi^T Z = [0; R_Z]. C_m is the Robin term of arc m
-    (:func:`robin_matrix`), so Phi^T A(gamma) Phi = T' + sum_m gamma_m C'_m."""
+    (:func:`arc_blocks`), so Phi^T A(gamma) Phi = T' + sum_m gamma_m C'_m."""
     n, d = Z.shape
     r = min(n, d)
     Q, R = np.linalg.qr(Z, mode="complete")
     Phi = np.concatenate([Q[:, r:], Q[:, :r]], axis=1)
-    C = robin_matrix(mesh, ArcwiseGamma(partition, np.eye(partition.n_arcs)))
+    P, G = arc_blocks(mesh, partition)
+    C = np.swapaxes(Phi[P], 1, 2) @ G @ Phi[P]  # (M, n, p) (M, p, p) (M, p, n)
     T = gamma_free_part(mesh, sigma).T
-    return (Phi.T @ T @ Phi).ravel(), (Phi.T @ C @ Phi).reshape(len(C), n * n), R[:r]
+    return (Phi.T @ T @ Phi).ravel(), C.reshape(len(C), n * n), R[:r]
 
 
 def _adapted_forms(mesh: Mesh, sigma: Conductivity, gamma: ArcwiseGamma, Z: np.ndarray):
     """Z^T A^-1 Z of an arcwise stack from A' = Phi^T A Phi of :func:`_adapted_terms`.
 
     Z^T A^-1 Z = R_Z^T (A'^-1)_22 R_Z, and the trailing r x r block of A'^-1 is
-    the inverse of the Schur complement L_22 L_22^T that the trailing block of
-    the factor of A' holds, so Z^T A^-1 Z = Y^T Y with Y = L_22^-1 R_Z. A' is
-    orthogonally similar to A: its factorization is A's definiteness check.
-    Each span of A' is one matmul of its arc values with the C'_m; the r x r
-    solves of all spans are one stacked call.
+    the inverse of the Schur complement L_22 L_22^T held by the trailing block of
+    A's factor, so Z^T A^-1 Z = Y^T Y with Y = L_22^-1 R_Z. A' is orthogonally
+    similar to A: its factorization is A's definiteness check. Each span of A'
+    is one matmul with the C'_m; one stacked call solves all r x r systems.
     """
     _check_coercive(gamma)
     n = len(Z)
     T, C, R_Z = _adapted_terms(mesh, sigma, gamma.partition, Z)
     lead = n - len(R_Z)
     trailing = np.empty((len(gamma.values), n - lead, n - lead))
-    for span in _spans(len(trailing), 8 * n * n, _FORM_BYTES):
+    for span in _spans(len(trailing), 16 * n * n):  # A' and its factor
         A = gamma.values[span] @ C
         A += T
         trailing[span] = _checked_cholesky(A.reshape(-1, n, n))[:, lead:, lead:]
@@ -544,15 +557,14 @@ def arc_step_traces(mesh: Mesh, sigma: Conductivity, base, partition: PartitionS
     U[j] is the interface trace of the forward solve of the currents g (n_B, d)
     for the coefficient base + steps[i] on arc arcs[i] (0-based), i = span.start + j.
 
-    A(base + t 1_arc m) = A0 + t C_m, and the Robin term C_m of arc m touches only
-    the p nodes P of that arc, so one inverse of A0 = A(base) and one p x p
-    solve per member give every trace (Sherman-Morrison-Woodbury; Hager, SIAM
-    Review 31, 1989): with U0 = A0^-1 F, F = -W^T M_B g, G = C_m[P, P] and
-    S = A0^-1[P, P], U = U0 - A0^-1[:, P] X where (I + t G S) X = t G U0[P].
-    A0 is checked positive definite, as :func:`assemble_system` checks it, and
-    t C_m is positive semidefinite for t >= 0, so every A0 + t C_m is too.
-    One stacked p x p solve serves a span of at most _FORM_BYTES of the
-    (n, p + d) arrays of its members.
+    A(base + t 1_arc m) = A0 + t C_m, and C_m touches only the p nodes P of arc m
+    (:func:`arc_blocks`), so one inverse of A0 = A(base) and one p x p solve per
+    member give every trace (Sherman-Morrison-Woodbury; Hager, SIAM Review 31,
+    1989): with U0 = A0^-1 F, F = -W^T M_B g, G = C_m[P, P] and S = A0^-1[P, P],
+    U = U0 - A0^-1[:, P] X where (I + t G S) X = t G U0[P]. A0 is checked
+    positive definite, as :func:`assemble_system` checks it, and t C_m >= 0, so
+    every A0 + t C_m is too. A span holds at most _SPAN_BYTES of the arrays made
+    per member: the (n, p) columns of A0^-1 and two (n, d).
     """
     arcs, steps = np.asarray(arcs, dtype=np.int64), np.asarray(steps, dtype=float)
     if arcs.ndim != 1 or arcs.shape != steps.shape:
@@ -571,20 +583,12 @@ def arc_step_traces(mesh: Mesh, sigma: Conductivity, base, partition: PartitionS
         raise NumericalError(f"linear solve failed: {exc}") from exc
     load = _curve_load(mesh.boundary_mass, g, "boundary")
     U0 = A0_inv @ -(gamma_free_part(mesh, sigma).W.T @ load)
-    C = robin_matrix(mesh, ArcwiseGamma(partition, np.eye(partition.n_arcs)))
-    on_arc = C.diagonal(axis1=1, axis2=2) > 0.0  # (M, n): the nodes P of each arc
-    p = int(on_arc.sum(axis=1).max())
-    # P per arc, padded at its end to p with nodes off the arc: their rows and
-    # columns of C_m are zero, so their rows of I + t G S are rows of I with a
-    # zero right side, X is exactly zero on them, and every member is one
-    # p x p system
-    P = np.argsort(~on_arc, axis=1, kind="stable")[:, :p]
-    arc = np.arange(len(C))[:, None]
+    # X is zero on the padding of P, where I + t G S and t G U0[P] have rows of I and 0
+    P, G = arc_blocks(mesh, partition)
     A0_inv_P = np.swapaxes(A0_inv[:, P], 0, 1)  # (M, n, p)
-    G = C[arc[:, :, None], P[:, :, None], P[:, None, :]]  # (M, p, p)
-    GS, GU0 = G @ A0_inv_P[arc, P], G @ U0[P]
-    n, d = U0.shape
-    for span in _spans(len(arcs), 8 * n * (p + d), _FORM_BYTES):
+    GS, GU0 = G @ A0_inv[P[:, :, None], P[:, None, :]], G @ U0[P]  # S = A0^-1[P, P]
+    (n, d), p = U0.shape, P.shape[1]
+    for span in _spans(len(arcs), 8 * n * (p + 2 * d)):
         t, m = steps[span, None, None], arcs[span]
         try:
             X = np.linalg.solve(np.eye(p) + t * GS[m], t * GU0[m])

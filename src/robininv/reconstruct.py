@@ -98,6 +98,9 @@ def _evaluate(system: SparseSystem, fluxes: np.ndarray, measurements: np.ndarray
     states = solve_forward(system, fluxes)
     residuals = trace_boundary(mesh, states) - measurements
     M_B, M_G = mesh.boundary_mass, mesh.interface_mass
+    if not residuals.any() and fluxes.any():  # J = 0: from data without W x_G, the gamma part?
+        if (measurements == system.part.S_BB_inv @ (M_B @ fluxes)).all():
+            raise NumericalError("rounding erases W x_G, the gamma part of the boundary values")
     M_G_gamma = (M_G @ gamma[..., None])[..., 0]
     with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
         misfit = (residuals * (M_B @ residuals)).reshape(len(gamma), -1).sum(axis=1)

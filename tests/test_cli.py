@@ -452,6 +452,21 @@ def test_lipschitz_pairs_without_an_nd_difference_exit_2(tmp_path, capsys):
     assert not (out / "lipschitz_verification.csv").exists()
 
 
+def test_data_without_gamma_exit_2(tmp_path, capsys):
+    # sigma2 = 1e-300 makes S_BB^-1 about 9e299: rounding erases the gamma part
+    # W x_G of every boundary value, of the data and of the start alike, so the
+    # cost is exactly 0 without telling any two gammas apart
+    text = "n_r_inner = 2\nn_r_outer = 2\nn_theta = 16\nsigma2 = 1e-300\n"
+    cfg, out = write_config(tmp_path, text), tmp_path / "out"
+    assert cli.main(["reconstruct", "--config", cfg, "--out", str(out)]) == 2
+    assert "rounding erases W x_G, the gamma part of the boundary values" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+    # a start at the true gamma also has J = 0, but its data keep W x_G: a success
+    cfg = write_config(tmp_path, text.replace("sigma2 = 1e-300", "gamma_true = constant:1"))
+    assert cli.main(["reconstruct", "--config", cfg, "--out", str(out)]) == 0
+    assert "status=converged iterations=0 J=0 " in (out / "summary.txt").read_text()
+
+
 # the property test's small base config: every driver finishes in milliseconds
 _TINY = {"n_r_inner": "1", "n_r_outer": "1", "n_theta": "8", "max_iter": "3", "n_modes": "2",
          "partition_m": "2", "cgne_max_iter": "10", "b": "1.5"}
@@ -469,6 +484,23 @@ def _csv_floats(path):
                 continue
 
 
+def _drive(subcommand, config, finite_on=(0,)):
+    # cli.main on a config of key -> value text in a fresh directory: it warns
+    # nothing, and with an exit code in finite_on writes only finite CSV floats
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "cfg.txt"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+        out = pathlib.Path(tmp) / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([subcommand, "--config", str(cfg), "--out", str(out)])
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if code in finite_on:
+            for csv in out.glob("*.csv"):
+                assert all(math.isfinite(v) for v in _csv_floats(csv)), csv.name
+    return code
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     st.sampled_from(sorted(cli.COMMANDS)),
@@ -482,15 +514,61 @@ def _csv_floats(path):
 def test_any_config_exits_with_a_documented_code(subcommand, overrides):
     # edge values for any keys of a small config: the driver returns 0..3,
     # raises nothing, warns nothing, and a success writes only finite floats
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = pathlib.Path(tmp) / "cfg.txt"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**_TINY, **overrides}.items()))
-        out = pathlib.Path(tmp) / "out"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = cli.main([subcommand, "--config", str(cfg), "--out", str(out)])
-        assert code in (0, 1, 2, 3)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        if code == 0:
-            for csv in out.glob("*.csv"):
-                assert all(math.isfinite(v) for v in _csv_floats(csv)), csv.name
+    assert _drive(subcommand, {**_TINY, **overrides}) in (0, 1, 2, 3)
+
+
+@st.composite
+def _valid_configs(draw, subcommand):
+    """A config whose every key takes a value of its valid range, moderate
+    enough that no result is lost to rounding, on a small mesh."""
+    n_theta = draw(st.sampled_from([8, 10, 12, 16]))
+    m = draw(st.integers(2 if subcommand == "locpot" else 1, n_theta))  # locpot: arcs < all
+    a = draw(st.floats(0.1, 2.0))
+    moderate = st.floats(0.1, 10.0).map(repr)
+    coefficient = st.sampled_from(["example1", "example2", "expinit"]) | moderate.map(
+        "constant:{}".format
+    )
+    current = st.builds("{}:{}".format, st.sampled_from(["cos", "sin"]), st.integers(0, 20)) | (
+        st.floats(-10.0, 10.0).map("constant:{!r}".format)
+    )
+    arcs = st.lists(st.integers(0, m - 1), min_size=1, max_size=max(1, m - 1), unique=True)
+    config = {
+        "n_r_inner": draw(st.integers(1, 2)),
+        "n_r_outer": draw(st.integers(1, 2)),
+        "n_theta": n_theta,
+        "sigma1": draw(moderate),
+        "sigma2": draw(moderate),
+        "gamma_true": draw(coefficient),
+        # inside every [c0, c1] drawn below
+        "gamma_init": draw(st.sampled_from(["expinit", "constant:1"])
+                           | st.floats(0.5, 2.0).map("constant:{!r}".format)),
+        "fluxes": draw(st.sampled_from(["example1", "example2"]) | current),
+        "flux": draw(current),
+        "eps": repr(draw(st.floats(0.0, 0.2))),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "reg_lambda": repr(draw(st.floats(0.0, 1.0))),
+        "gtol": repr(draw(st.floats(0.0, 1e-3))),
+        "max_iter": draw(st.integers(0, 4)),
+        "c0": repr(draw(st.floats(1e-3, 0.5))),
+        "c1": repr(draw(st.floats(2.0, 20.0))),
+        "partition_m": m,
+        "a": repr(a),
+        "b": repr(a * draw(st.floats(1.01, 3.0))),  # K * partition_m <= 9 * 16
+        "n_modes": draw(st.integers(1, (n_theta - 1) // 2)),
+        "arcs": ",".join(map(str, draw(arcs))),
+        "alpha": draw(moderate),
+        "beta": draw(moderate),
+        "cgne_max_iter": draw(st.integers(1, 30)),
+    }
+    return config
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli.COMMANDS))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_valid_configs_succeed_or_miss_their_target(subcommand, data):
+    # values inside every key's range, 12 configs per driver: the driver
+    # succeeds (0) or reports a target it did not reach (3), warns nothing and
+    # writes only finite floats
+    config = data.draw(_valid_configs(subcommand))
+    assert _drive(subcommand, config, finite_on=(0, 3)) in (0, 3)

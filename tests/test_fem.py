@@ -462,6 +462,23 @@ def test_robin_matrix_is_the_gamma_part_of_the_condensed_matrix(mesh_coarse, sig
     assert np.abs(masses.sum(axis=0) - total).max() <= 1e-15 * np.abs(total).max()
 
 
+@pytest.mark.parametrize("rung", [(2, 2, 32), (4, 4, 64)])
+@pytest.mark.parametrize("n_arcs", [1, 3, 4, "n_theta"])
+def test_arc_blocks_are_the_blocks_of_the_dense_arc_matrices(rung, n_arcs):
+    # P lists each arc's nodes ascending, then the lowest nodes off it, and
+    # G = C_m[P, P]: both bit for bit those that the dense per-arc Robin
+    # matrices give through their diagonal
+    mesh = ri.generate_disk_mesh(*rung)
+    part = ri.interface_partition(mesh, rung[2] if n_arcs == "n_theta" else n_arcs)
+    C = fem.robin_matrix(mesh, ri.ArcwiseGamma(part, np.eye(part.n_arcs)))
+    on_arc = C.diagonal(axis1=1, axis2=2) > 0.0
+    P_ref = np.argsort(~on_arc, axis=1, kind="stable")[:, : on_arc.sum(axis=1).max()]
+    arc = np.arange(part.n_arcs)[:, None, None]
+    P, G = fem.arc_blocks(mesh, part)
+    assert np.array_equal(P, P_ref)
+    assert np.array_equal(G, C[arc, P_ref[:, :, None], P_ref[:, None, :]])
+
+
 def test_bad_adapted_matrix_gives_no_nd_form(sigma, monkeypatch):
     # the arcwise form factors A' = Phi^T A Phi: the same refusal as
     # assemble_system's check for a matrix that is not positive definite, no
@@ -623,7 +640,7 @@ def _assert_same(stacked, single):
 def test_stacks_match_single_coefficients(mesh_coarse, sigma, monkeypatch, members, spans):
     mesh = mesh_coarse
     n, n_ring = mesh.n_interface_nodes, mesh.n_interface_nodes + mesh.n_boundary_nodes
-    monkeypatch.setattr(fem, "_STACK_BYTES", 3 * 8 * n * n)  # three matrices per stack
+    monkeypatch.setattr(fem, "_SPAN_BYTES", 3 * 8 * n * n)  # three matrices per stack
     rng = np.random.default_rng(5)
     G = rng.standard_normal((mesh.n_boundary_nodes, 3))
     F = rng.standard_normal((n, 2))

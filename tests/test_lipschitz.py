@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,7 +216,7 @@ def test_verify_stability_samples(full_report, mesh_mid, sigma):
 def test_lockstep_runs_match_single_runs(mesh_coarse, sigma, monkeypatch):
     part = ri.interface_partition(mesh_coarse, 4)
     n, d, p = mesh_coarse.n_interface_nodes, 9, 9  # an arc of 8 edges has 9 nodes
-    monkeypatch.setattr(fem, "_FORM_BYTES", 6 * 8 * n * (p + d))
+    monkeypatch.setattr(fem, "_SPAN_BYTES", 6 * 8 * n * (p + 2 * d))
     real, sizes = lipschitz.arc_step_traces, []
 
     def recording(*args):
@@ -234,12 +236,27 @@ def test_lockstep_runs_match_single_runs(mesh_coarse, sigma, monkeypatch):
     assert report.G == max(e.g_norm_sq for e in report.entries)
 
 
+def test_lipschitz_constant_holds_no_dense_arc_matrices(sigma):
+    # the Robin blocks of 64 arcs on (4,4,64) are (64, 2, 2): a whole call
+    # peaks below the 2 MB that the dense per-arc matrices (64, 64, 64) take
+    mesh = ri.generate_disk_mesh(4, 4, 64)
+    part = ri.interface_partition(mesh, 64)
+    ri.lipschitz_constant(mesh, sigma, 1.0, 2.0, part)  # fills the mesh's caches
+    tracemalloc.start()
+    try:
+        ri.lipschitz_constant(mesh, sigma, 1.0, 2.0, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 64 * 64 * 8
+
+
 def test_verify_stability_factors_each_gamma_once_and_solves_nothing(
     full_report, mesh_mid, sigma, monkeypatch
 ):
     report, _ = full_report
     n, d = mesh_mid.n_interface_nodes, 2 * report.n_modes + 1
-    span = fem._FORM_BYTES // (8 * n * n)
+    span = fem._SPAN_BYTES // (16 * n * n)  # A' and its factor per coefficient
     factored = []  # the shape of each Cholesky call
     solved = []  # the shape of each solve's matrices
     real_cholesky, real_solve = fem.cholesky, np.linalg.solve

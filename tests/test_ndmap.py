@@ -288,6 +288,35 @@ def test_form_matches_the_solve_based_reference(rung, moved, sigma):
                     assert np.abs(F.matrix - bordered).max() <= 1e-12 * np.abs(bordered).max()
 
 
+@pytest.mark.parametrize("rung", [(2, 2, 32), (4, 4, 64)])
+@pytest.mark.parametrize("n_arcs", [1, 4, 16, "n_theta"])
+def test_arcwise_forms_of_both_paths_match_the_solve_based_reference(
+    rung, n_arcs, sigma, monkeypatch
+):
+    # the adapted and the bordered path each give F0 + Z^T A^-1 Z of an arcwise
+    # stack, and nd_form takes the adapted one where M n <= 64 d
+    mesh = ri.generate_disk_mesh(*rung)
+    part = ri.interface_partition(mesh, rung[2] if n_arcs == "n_theta" else n_arcs)
+    values = np.random.default_rng(part.n_arcs).uniform(0.5, 3.0, (3, part.n_arcs))
+    gamma = ri.ArcwiseGamma(part, values)
+    taken = []
+    for name in ("_adapted_forms", "_bordered_forms"):
+
+        def spy(*args, real=getattr(fem, name), name=name):
+            taken.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(fem, name, spy)
+    system = ri.assemble_system(mesh, sigma, gamma)
+    F = ri.nd_form_matrix(system, 4)
+    n, d = mesh.n_interface_nodes, 9
+    assert taken == ["_adapted_forms" if part.n_arcs * n <= 64 * d else "_bordered_forms"]
+    ref = F.basis.T @ (mesh.boundary_mass @ ri.apply_nd(system, F.basis))
+    Z, F0 = mesh.cache[("nd_terms", sigma, 4)]
+    for forms in (fem._adapted_forms, fem._bordered_forms):
+        assert np.abs(F0 + forms(mesh, sigma, gamma, Z) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_nd_form_stays_on_the_ring(system_coarse, no_nodal_field):
     F = ri.nd_form_matrix(system_coarse, 4)
     assert F.matrix.shape == (9, 9)

@@ -277,14 +277,14 @@ def test_lockstep_members_match_single_runs(mesh_coarse, sigma, monkeypatch):
     real = fem.cholesky
 
     def spy(A):
-        assert A.nbytes <= fem._STACK_BYTES
+        assert A.nbytes <= fem._SPAN_BYTES
         sizes.append(len(A))
         return real(A)
 
     monkeypatch.setattr(fem, "cholesky", spy)
     # one stack of four, then stacks of at most two matrices
-    for stack_bytes, most in ((fem._STACK_BYTES, 4), (2 * n * n * 8, 2)):
-        monkeypatch.setattr(fem, "_STACK_BYTES", stack_bytes)
+    for stack_bytes, most in ((fem._SPAN_BYTES, 4), (2 * n * n * 8, 2)):
+        monkeypatch.setattr(fem, "_SPAN_BYTES", stack_bytes)
         sizes.clear()
         states = ri.bfgs_lockstep(mesh_coarse, sigma, clean.fluxes, measurements, 0.0, starts, opts)
         assert max(sizes) == most
