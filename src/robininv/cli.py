@@ -29,7 +29,6 @@ from . import (
     add_noise,
     assemble_system,
     bfgs_lockstep,
-    boundary_l2,
     generate_disk_mesh,
     interface_partition,
     lipschitz_constant,
@@ -527,11 +526,13 @@ def main(argv=None) -> int:
             check_ranges(cfg, "--seed")
         out = args.out or cfg.out
         os.makedirs(out, exist_ok=True)
-        code = COMMANDS[args.subcommand](cfg, out)
+        # numerical failure is decided here: failed linear algebra, overflow or NaN exit 2
+        with np.errstate(over="raise", invalid="raise"):
+            code = COMMANDS[args.subcommand](cfg, out)
     except (ParameterError, CoercivityError, OSError) as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except NumericalError as exc:
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return code

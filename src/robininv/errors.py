@@ -10,4 +10,5 @@ class CoercivityError(ParameterError):
 
 
 class NumericalError(RuntimeError):
-    """A linear solve or eigen computation failed to converge."""
+    """A check found no usable number (a matrix not positive definite, a non-finite
+    result); cli.main exits 2 on it, as on LinAlgError and FloatingPointError."""

@@ -35,9 +35,6 @@ from numpy.linalg import LinAlgError, cholesky, inv
 from .errors import CoercivityError, NumericalError, ParameterError
 from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec
 
-# ring columns per interior solve when forming S on a mesh without rotational
-# symmetry: a 32-column block of K_II^-1 K_IR takes 98 KB on (4,4,64)
-_SCHUR_BLOCK = 32
 # bytes of the member arrays in one span of any stack, so memory does not grow with its
 # members: 16 matrices of a system stack, or 8 adapted forms with factors, on (4,4,64)
 _SPAN_BYTES = 512 * 1024
@@ -288,7 +285,7 @@ def _sparse_schur(mesh: Mesh, sigma: Conductivity):
     """S as a dense matrix and the interior map, through a sparse LU of K_II.
 
     For meshes without the theta symmetry (moved nodes, another layout): S is
-    formed a block of ring columns at a time, so no dense K_II^-1 K_IR is held.
+    formed a span of ring columns at a time, so no dense K_II^-1 K_IR is held.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -315,8 +312,8 @@ def _sparse_schur(mesh: Mesh, sigma: Conductivity):
     except RuntimeError as exc:
         raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
     S = K[ring][:, ring].toarray()
-    for lo in range(0, len(ring), _SCHUR_BLOCK):
-        span = slice(lo, lo + _SCHUR_BLOCK)
+    # a span holds one column of K_IR and one of its solve per ring column
+    for span in _spans(len(ring), 16 * len(interior)):
         S[:, span] -= K_IR.T @ interior_lu.solve(K_IR[:, span].toarray())
     K_IR = K_IR.tocsr()
     return S, lambda x_ring: -interior_lu.solve(K_IR @ x_ring)
@@ -577,10 +574,7 @@ def arc_step_traces(mesh: Mesh, sigma: Conductivity, base, partition: PartitionS
     if A0.ndim != 2:
         raise ParameterError("arc_step_traces takes one base coefficient")
     _checked_cholesky(A0)
-    try:
-        A0_inv = inv(A0)
-    except LinAlgError as exc:
-        raise NumericalError(f"linear solve failed: {exc}") from exc
+    A0_inv = inv(A0)
     load = _curve_load(mesh.boundary_mass, g, "boundary")
     U0 = A0_inv @ -(gamma_free_part(mesh, sigma).W.T @ load)
     # X is zero on the padding of P, where I + t G S and t G U0[P] have rows of I and 0
@@ -590,10 +584,7 @@ def arc_step_traces(mesh: Mesh, sigma: Conductivity, base, partition: PartitionS
     (n, d), p = U0.shape, P.shape[1]
     for span in _spans(len(arcs), 8 * n * (p + 2 * d)):
         t, m = steps[span, None, None], arcs[span]
-        try:
-            X = np.linalg.solve(np.eye(p) + t * GS[m], t * GU0[m])
-        except LinAlgError as exc:
-            raise NumericalError(f"capacitance solve failed: {exc}") from exc
+        X = np.linalg.solve(np.eye(p) + t * GS[m], t * GU0[m])
         U = U0 - A0_inv_P[m] @ X
         if not np.isfinite(U).all():
             raise NumericalError("linear solve produced non-finite values")
@@ -614,13 +605,9 @@ def _solve(system: SparseSystem, interface_load=None, boundary_load=None) -> np.
     load = boundary_load if interface_load is None else interface_load
     if stacked and load.ndim == 1:
         load = load[:, None]
-    try:
-        # one call solves one matrix or the whole stack
-        x_interface = np.linalg.solve(
-            system.matrix, load if boundary_load is None else -(part.W.T @ load)
-        )
-    except LinAlgError as exc:
-        raise NumericalError(f"linear solve failed: {exc}") from exc
+    # one call solves one matrix or the whole stack
+    rhs = load if boundary_load is None else -(part.W.T @ load)
+    x_interface = np.linalg.solve(system.matrix, rhs)
     x_boundary = -(part.W @ x_interface)
     if boundary_load is not None:
         x_boundary += part.S_BB_inv @ load
@@ -751,11 +738,7 @@ def analytic_concentric_oracle(n: int, sigma: Conductivity, gamma_const: float):
                 [0.0, s2 * n, -s2 * n],
             ]
         )
-    rhs = np.array([0.0, 0.0, 1.0])
-    try:
-        A, B, C = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - positive data is regular
-        raise NumericalError("singular mode system") from exc
+    A, B, C = np.linalg.solve(mat, [0.0, 0.0, 1.0])
     return float(A), float(B), float(C)
 
 

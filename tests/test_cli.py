@@ -470,7 +470,8 @@ def test_data_without_gamma_exit_2(tmp_path, capsys):
 # the property test's small base config: every driver finishes in milliseconds
 _TINY = {"n_r_inner": "1", "n_r_outer": "1", "n_theta": "8", "max_iter": "3", "n_modes": "2",
          "partition_m": "2", "cgne_max_iter": "10", "b": "1.5"}
-_NUMBERS = ["0", "-1", "-2.5", "1e300", "-1e300", "1e-300", "-1e-300", "nan", "inf", "-inf"]
+_NUMBERS = ["0", "-1", "-2.5", "1e300", "-1e300", "1e-300", "-1e-300", "nan", "inf", "-inf",
+            "5e-324", "2.2250738585072014e-308", "1e308", "-1e308", "1.7976931348623157e308"]
 _MALFORMED = ["", "abc", "1 2", "0x10", "1e", "--1", "x" * 500, "1" * 300 + "x"]
 _SELECTORS = [f"{kind}:{v}" for kind in ("constant", "cos", "sin") for v in _NUMBERS + ["", "x"]]
 
@@ -515,6 +516,44 @@ def test_any_config_exits_with_a_documented_code(subcommand, overrides):
     # edge values for any keys of a small config: the driver returns 0..3,
     # raises nothing, warns nothing, and a success writes only finite floats
     assert _drive(subcommand, {**_TINY, **overrides}) in (0, 1, 2, 3)
+
+
+# the config keys whose values are numbers: the float keys and the constant: selectors
+_EXTREME_KEYS = sorted(k for k, kind in cli.CONFIG_KINDS.items() if kind is float) + [
+    "gamma_true", "gamma_init", "flux", "fluxes"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(cli.COMMANDS)), st.sampled_from(_EXTREME_KEYS),
+       st.sampled_from(_NUMBERS))
+def test_one_extreme_number_exits_with_a_documented_code(subcommand, key, value):
+    # one number of _TINY set to an edge value: most such configs parse, so
+    # the drivers meet the values, unlike the any-config property's mostly
+    # malformed ones
+    if cli.CONFIG_KINDS[key] is str:
+        value = f"constant:{value}"
+    assert _drive(subcommand, {**_TINY, key: value}) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "subcommand, overrides",
+    [
+        ("ndmap", {"sigma2": "1e-308"}),  # else every entry of ndform.csv is NaN
+        ("ndmap", {"gamma_true": "constant:1e308"}),  # else a success after overflows
+        ("forward", {"sigma1": "5e-324"}),  # a singular system
+        ("lipschitz", {"sigma2": "2.2250738585072014e-308"}),  # eigvalsh does not converge
+        # these overflow before a finiteness check refuses the result
+        ("forward", {"sigma1": "1e308"}),
+        ("reconstruct", {"eps": "1e308"}),
+        ("forward", {"sigma2": "1e-300", "flux": "constant:1e300"}),
+        ("locpot", {"sigma2": "1e-300", "gamma_true": "constant:1e-300"}),
+    ],
+)
+def test_overflow_nan_and_failed_linear_algebra_exit_2(subcommand, overrides):
+    # cli.main runs every driver with overflow and invalid operations raising
+    # and maps them, like a failed solve or eigenproblem, to exit 2: no NaN
+    # success, no uncaught LinAlgError and no RuntimeWarning first
+    assert _drive(subcommand, {**_TINY, **overrides}) == 2
 
 
 @st.composite

@@ -262,6 +262,28 @@ def test_oracle_invalid_inputs(sigma):
         ri.analytic_concentric_oracle(1, sigma, 0.0)
 
 
+@pytest.mark.parametrize("gamma_const", [1.0, 2.0])
+def test_interface_trace_converges_to_the_oracle(sigma, gamma_const):
+    # criterion 1's ladder, on the interface: mode 0 is exact up to rounding;
+    # modes 1 and 2 converge at order >= 1.8 from (4,4,64) to (8,8,128), while
+    # mode 2 still gives only 1.45 - 1.59 from (2,2,32) to (4,4,64)
+    meshes = [ri.generate_disk_mesh(*rung) for rung in ((2, 2, 32), (4, 4, 64), (8, 8, 128))]
+    for n in (0, 1, 2):
+        errors = []
+        for mesh in meshes:
+            system = ri.assemble_system(mesh, sigma, np.full(mesh.n_interface_nodes, gamma_const))
+            theta = mesh.boundary_theta
+            g = np.ones_like(theta) if n == 0 else np.cos(n * theta)
+            got = ri.trace_interface(mesh, ri.solve_forward(system, g))
+            exact = ri.oracle_interface_trace(n, sigma, gamma_const, mesh.interface_theta)
+            gap = ri.interface_l2(system, got - exact, got - exact)
+            errors.append(np.sqrt(gap / ri.interface_l2(system, exact, exact)))
+        if n == 0:
+            assert max(errors) <= 1e-12
+        else:
+            assert np.log2(errors[1] / errors[2]) >= 1.8
+
+
 def test_curve_mass_matrix_row_sums(mesh_coarse):
     perimeter = mesh_coarse.boundary_mass.sum()
     assert perimeter == pytest.approx(32 * 2 * np.sin(np.pi / 32), abs=1e-12)
@@ -590,6 +612,25 @@ def test_schur_without_rotational_symmetry_matches_dense(sigma, tmp_path):
         A = condensed_matrix(other, sigma, gamma)
         fresh = _dense_schur(other, K + interface_form_matrix(other, gamma))
         assert np.abs(A - fresh).max() <= 1e-13 * np.abs(fresh).max()
+
+
+def test_sparse_schur_parts_do_not_depend_on_the_span_cap(sigma, monkeypatch):
+    # S is formed a span of ring columns at a time; spans of 85 columns and
+    # of 5 give the same bits of T, W and S_BB^-1
+    mesh = ri.generate_disk_mesh(4, 4, 64)
+    nodes = mesh.nodes.copy()
+    nodes[0] += 1e-3  # the center: off the Fourier path
+    moved = dataclasses.replace(mesh, nodes=nodes)
+    assert fem._theta_wedge(moved) is None
+    n_interior = moved.n_nodes - 2 * 64
+    real, spans, parts = fem._spans, [], []
+    monkeypatch.setattr(fem, "_spans", lambda *args: spans.append(real(*args)) or spans[-1])
+    for span_bytes in (fem._SPAN_BYTES, 5 * 16 * n_interior):
+        monkeypatch.setattr(fem, "_SPAN_BYTES", span_bytes)
+        parts.append(fem._condense(moved, sigma))
+    assert [[s.stop - s.start for s in found] for found in spans] == [[85, 43], [5] * 25 + [3]]
+    for name in ("T", "W", "S_BB_inv"):
+        assert np.array_equal(getattr(parts[0], name), getattr(parts[1], name))
 
 
 def test_lipschitz_and_stability_stay_on_the_ring(sigma, no_nodal_field):

@@ -234,6 +234,12 @@ def _swap_edges(lines, which):
     lines[lo], lines[lo + 1] = lines[lo + 1], lines[lo]
 
 
+def _share_ring_node(lines):
+    """Start the first boundary edge at the first interface node."""
+    interface_row, boundary_row = (_ring_block(lines, which)[0] for which in (0, 1))
+    lines[boundary_row] = f"{lines[interface_row].split()[0]} {lines[boundary_row].split()[1]}"
+
+
 def _reverse_ring(lines, which):
     lo, hi = _ring_block(lines, which)
     edges = [row.split() for row in lines[lo:hi]]
@@ -266,7 +272,23 @@ MALFORMED = {
     "boundary not a cycle": lambda lines: _swap_edges(lines, 1),
     "interface clockwise": lambda lines: _reverse_ring(lines, 0),
     "boundary clockwise": lambda lines: _reverse_ring(lines, 1),
+    "node on both rings": _share_ring_node,
 }
+
+
+def test_reversed_triangles_are_refused_when_assembled(tmp_path, mesh_coarse, sigma):
+    # the file loads, as the loader does not look at orientation; the stiffness
+    # of its clockwise triangles would have negative areas
+    lines = _mesh_lines(mesh_coarse, tmp_path)
+    lo = 3 + int(lines[1])  # the first triangle row: index, three nodes, region
+    for row in range(lo, lo + int(lines[lo - 1])):
+        index, a, b, c, region = lines[row].split()
+        lines[row] = f"{index} {a} {c} {b} {region}"
+    path = tmp_path / "reversed.txt"
+    path.write_text("\n".join(lines) + "\n")
+    mesh = ri.load_mesh(path)
+    with pytest.raises(ri.ParameterError, match="non-positively oriented triangles"):
+        ri.assemble_system(mesh, sigma, np.ones(mesh.n_interface_nodes))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
