@@ -26,11 +26,14 @@ single coefficient is a stack of one that keeps its shapes.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from numpy.linalg import LinAlgError, cholesky, inv
+from numpy.linalg import LinAlgError, cholesky
 
 from .errors import CoercivityError, NumericalError, ParameterError
 from .mesh import INTERFACE_RADIUS, Mesh, PartitionSpec
@@ -140,17 +143,18 @@ class GammaFreePart:
 class SparseSystem:
     """Galerkin system K(sigma, gamma), condensed onto the interface nodes.
 
-    matrix is A = T + C_Gamma(gamma) of :func:`condensed_matrix`, (n, n) for
-    one gamma or (s, n, n) for a stack of s, checked positive definite at
-    assembly; every solve solves with it and recovers the boundary values
-    through W and S_BB^-1.
+    factor is the lower Cholesky factor L, A = L L^T, of A = T + C_Gamma(gamma)
+    of :func:`condensed_matrix`: (n, n) for one gamma or (s, n, n) for a stack
+    of s. The Cholesky call that checks A positive definite at assembly gives it,
+    and it is kept in place of A; every solve solves with it (:func:`_cholesky_solve`)
+    and recovers the boundary values through W and S_BB^-1.
     """
 
     mesh: Mesh
     sigma: Conductivity
     gamma: object  # nodal ndarray or ArcwiseGamma
     part: GammaFreePart = field(repr=False)
-    matrix: np.ndarray = field(repr=False)
+    factor: np.ndarray = field(repr=False)
 
     def gamma_nodal(self) -> np.ndarray:
         """Nodal values on interface nodes (arcwise gamma: lower-index arc wins)."""
@@ -162,7 +166,7 @@ class SparseSystem:
         """The members index of this stack (a slice or an index array), or, for an
         integer index, that member as the system of one gamma."""
         return SparseSystem(
-            self.mesh, self.sigma, _members(self.gamma, index), self.part, self.matrix[index]
+            self.mesh, self.sigma, _members(self.gamma, index), self.part, self.factor[index]
         )
 
 
@@ -453,12 +457,50 @@ def _checked_cholesky(K: np.ndarray) -> np.ndarray:
 
 
 def assemble_system(mesh: Mesh, sigma: Conductivity, gamma) -> SparseSystem:
-    """The system of gamma, or of a stack of them: :func:`condensed_matrix`, checked
-    positive definite by one Cholesky call."""
-    A = condensed_matrix(mesh, sigma, gamma)
+    """The system of gamma, or of a stack of them: the factor of :func:`condensed_matrix`
+    from one Cholesky call, which is also its check of positive definiteness."""
     # a NaN in A may pass; the finiteness check of every solve catches it
-    _checked_cholesky(A)
-    return SparseSystem(mesh, sigma, gamma, gamma_free_part(mesh, sigma), A)
+    L = _checked_cholesky(condensed_matrix(mesh, sigma, gamma))
+    return SparseSystem(mesh, sigma, gamma, gamma_free_part(mesh, sigma), L)
+
+
+@functools.cache
+def _dpotrs():
+    """LAPACK dpotrs of the ILP64 OpenBLAS bundled in numpy's wheel (numpy.libs,
+    loaded with numpy), looked up on the first solve; None if it is not there."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        potrs = getattr(ctypes.CDLL(str(path)), "scipy_dpotrs_64_", None)
+        if potrs is not None:
+            i64, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+            # uplo, n, nrhs, a, lda, b, ldb, info, and the length of uplo
+            potrs.argtypes = [ctypes.c_char_p, i64, i64, ptr, i64, ptr, i64, i64, ctypes.c_size_t]
+            potrs.restype = None
+            return potrs
+    return None
+
+
+def _cholesky_solve(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A^-1 B for A = L L^T, L (n, n) or (s, n, n) and B (n,), (n, k) or (s, n, k),
+    broadcast as np.linalg.solve broadcasts them: one dpotrs call per member, or,
+    without dpotrs, np.linalg.solve on L and on L^T. Read column-major, numpy's
+    C-ordered lower L is the upper factor L^T, and a C-ordered (k, n) block is n x k."""
+    potrs = _dpotrs()
+    if potrs is None:
+        return np.linalg.solve(np.swapaxes(L, -1, -2), np.linalg.solve(L, B))
+    n, C = L.shape[-1], B[..., None] if B.ndim == 1 else B
+    X = np.empty(np.broadcast_shapes(L.shape[:-2], C.shape[:-2]) + (C.shape[-1], n))
+    X[...] = np.swapaxes(C, -1, -2)  # a fresh C-ordered copy for dpotrs to overwrite
+    L, k, info = np.ascontiguousarray(L, dtype=float), X.shape[-2], ctypes.c_int64()
+    n_ref, k_ref, info_ref = (ctypes.byref(v) for v in (ctypes.c_int64(n), ctypes.c_int64(k), info))
+    L_at, L_step, X_at = L.ctypes.data, 0 if L.size == n * n else 8 * n * n, X.ctypes.data
+    for i in range(X.size // (k * n)):
+        potrs(b"U", n_ref, k_ref, L_at + i * L_step, n_ref, X_at + 8 * i * k * n, n_ref,
+              info_ref, 1)
+        if info.value:
+            raise NumericalError(f"dpotrs failed with info = {info.value}")
+    X = np.swapaxes(X, -1, -2)
+    return X[..., 0] if B.ndim == 1 else X
 
 
 def assemble_stacks(mesh: Mesh, sigma: Conductivity, gamma):
@@ -558,8 +600,8 @@ def arc_step_traces(mesh: Mesh, sigma: Conductivity, base, partition: PartitionS
     (:func:`arc_blocks`), so one inverse of A0 = A(base) and one p x p solve per
     member give every trace (Sherman-Morrison-Woodbury; Hager, SIAM Review 31,
     1989): with U0 = A0^-1 F, F = -W^T M_B g, G = C_m[P, P] and S = A0^-1[P, P],
-    U = U0 - A0^-1[:, P] X where (I + t G S) X = t G U0[P]. A0 is checked
-    positive definite, as :func:`assemble_system` checks it, and t C_m >= 0, so
+    U = U0 - A0^-1[:, P] X where (I + t G S) X = t G U0[P]. A0 is checked positive
+    definite by the Cholesky factorization that gives A0^-1, and t C_m >= 0, so
     every A0 + t C_m is too. A span holds at most _SPAN_BYTES of the arrays made
     per member: the (n, p) columns of A0^-1 and two (n, d).
     """
@@ -573,8 +615,7 @@ def arc_step_traces(mesh: Mesh, sigma: Conductivity, base, partition: PartitionS
     A0 = condensed_matrix(mesh, sigma, base)
     if A0.ndim != 2:
         raise ParameterError("arc_step_traces takes one base coefficient")
-    _checked_cholesky(A0)
-    A0_inv = inv(A0)
+    A0_inv = _cholesky_solve(_checked_cholesky(A0), np.eye(len(A0)))
     load = _curve_load(mesh.boundary_mass, g, "boundary")
     U0 = A0_inv @ -(gamma_free_part(mesh, sigma).W.T @ load)
     # X is zero on the padding of P, where I + t G S and t G U0[P] have rows of I and 0
@@ -595,19 +636,19 @@ def _solve(system: SparseSystem, interface_load=None, boundary_load=None) -> np.
     """Ring values x_R of K x = b for a load b on the interface or on the boundary.
 
     A load is (n,) or (n, k), shared by every member of a stack, or (s, n, k),
-    one per member. One gamma gives (n_R,) or (n_R, k); a stack of s gives
-    (s, n_R, k), a load (n,) counting as k = 1. With the interior and the
-    boundary eliminated, A x_G = b_G - W^T b_B and x_B = S_BB^-1 b_B - W x_G;
-    :func:`nodal_field` recovers the interior.
+    one per member (s loads of one gamma). One gamma gives (n_R,) or (n_R, k);
+    a stack of s, or a load (s, n, k), gives (s, n_R, k), a load (n,) counting
+    as k = 1. With the interior and the boundary eliminated, A x_G = b_G - W^T b_B
+    and x_B = S_BB^-1 b_B - W x_G; x_G comes from the system's kept factor of A,
+    with no factorization (:func:`_cholesky_solve`). :func:`nodal_field` recovers the interior.
     """
     part = system.part
-    stacked = system.matrix.ndim == 3
     load = boundary_load if interface_load is None else interface_load
+    stacked = system.factor.ndim == 3 or load.ndim == 3
     if stacked and load.ndim == 1:
         load = load[:, None]
-    # one call solves one matrix or the whole stack
     rhs = load if boundary_load is None else -(part.W.T @ load)
-    x_interface = np.linalg.solve(system.matrix, rhs)
+    x_interface = _cholesky_solve(system.factor, rhs)
     x_boundary = -(part.W @ x_interface)
     if boundary_load is not None:
         x_boundary += part.S_BB_inv @ load
@@ -719,25 +760,14 @@ def analytic_concentric_oracle(n: int, sigma: Conductivity, gamma_const: float):
     rho = INTERFACE_RADIUS
     s1, s2 = sigma.sigma1, sigma.sigma2
     if n == 0:
-        mat = np.array(
-            [
-                [1.0, -1.0, -np.log(rho)],
-                [-gamma_const, 0.0, s2 / rho],
-                [0.0, 0.0, s2],
-            ]
-        )
+        mat = [[1.0, -1.0, -np.log(rho)], [-gamma_const, 0.0, s2 / rho], [0.0, 0.0, s2]]
     else:
-        mat = np.array(
-            [
-                [rho**n, -(rho**n), -(rho ** (-n))],
-                [
-                    -s1 * n * rho ** (n - 1) - gamma_const * rho**n,
-                    s2 * n * rho ** (n - 1),
-                    -s2 * n * rho ** (-n - 1),
-                ],
-                [0.0, s2 * n, -s2 * n],
-            ]
-        )
+        mat = [
+            [rho**n, -(rho**n), -(rho ** (-n))],
+            [-s1 * n * rho ** (n - 1) - gamma_const * rho**n, s2 * n * rho ** (n - 1),
+             -s2 * n * rho ** (-n - 1)],
+            [0.0, s2 * n, -s2 * n],
+        ]
     A, B, C = np.linalg.solve(mat, [0.0, 0.0, 1.0])
     return float(A), float(B), float(C)
 

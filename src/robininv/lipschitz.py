@@ -115,9 +115,15 @@ def _condition_gram(mesh: Mesh, U, on_arc, b_over_a) -> np.ndarray:
     w L / 6 [[2, 1], [1, 2]] at its nodes e and e + 1."""
     weight = np.where(on_arc, 0.5, 1.0 - 2.0 * b_over_a)
     w = (weight * (mesh.interface_edge_lengths / 6.0))[..., None]
+    # in place, so no more than three (s, n_Gamma, d) arrays are held beside U
     ends = U.take(mesh.interface_next, axis=1)
-    DU = w * (2.0 * U + ends)  # from the edges that start at each node
-    DU += (w * (U + 2.0 * ends)).take(mesh.interface_prev, axis=1)  # and those that end there
+    DU = 2.0 * U
+    DU += ends
+    DU *= w  # from the edges that start at each node
+    ends *= 2.0
+    ends += U
+    ends *= w
+    DU += ends.take(mesh.interface_prev, axis=1)  # and those that end there
     return np.swapaxes(U, 1, 2) @ DU
 
 

@@ -64,7 +64,7 @@ def cgne_solve(system: SparseSystem, target, stop, max_iter: int) -> CgneResult:
     target = np.asarray(target, dtype=float)
     if target.shape != (mesh.n_interface_nodes,):
         raise ParameterError("target must live on the interface nodes")
-    if system.matrix.ndim != 2:
+    if system.factor.ndim != 2:
         raise ParameterError("cgne_solve takes the system of one gamma")
     if max_iter < 1:
         raise ParameterError("max_iter must be >= 1")

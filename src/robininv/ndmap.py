@@ -154,12 +154,10 @@ def check_monotonicity(system1: SparseSystem, system2: SparseSystem, n_modes: in
     discretization noise.
     """
     _shared_mesh(system1, system2)
-    g1 = system1.gamma_nodal()
-    g2 = system2.gamma_nodal()
+    g1, g2 = system1.gamma_nodal(), system2.gamma_nodal()
     if not np.all(g1 <= g2 + 1e-14):
         raise ParameterError("check_monotonicity requires gamma1 <= gamma2 nodewise")
-    F1 = nd_form_matrix(system1, n_modes)
-    F2 = nd_form_matrix(system2, n_modes)
+    F1, F2 = nd_form_matrix(system1, n_modes), nd_form_matrix(system2, n_modes)
     return float(_difference_eigenvalues(F1, F2).min())
 
 
@@ -181,10 +179,8 @@ def monotonicity_estimate_check(system1: SparseSystem, system2: SparseSystem, g)
     lhs, so lhs >= mid >= rhs holds for the Galerkin solutions up to rounding.
     """
     mesh = _shared_mesh(system1, system2)
-    u1 = solve_forward(system1, g)
-    u2 = solve_forward(system2, g)
-    g1q = _at_gauss_points(mesh, system1.gamma)
-    g2q = _at_gauss_points(mesh, system2.gamma)
+    u1, u2 = solve_forward(system1, g), solve_forward(system2, g)
+    g1q, g2q = _at_gauss_points(mesh, system1.gamma), _at_gauss_points(mesh, system2.gamma)
     u2q = _at_gauss_points(mesh, trace_interface(mesh, u2))
     lhs = _gauss_integral(mesh, (g1q - g2q) * u2q**2)
     mid = boundary_l2(system1, g, trace_boundary(mesh, u2)) - boundary_l2(
@@ -201,13 +197,11 @@ def alessandrini_residual(system1: SparseSystem, system2: SparseSystem, g, h) ->
     Zero for Galerkin solutions up to solver tolerance.
     """
     mesh = _shared_mesh(system1, system2)
-    u1h = solve_forward(system1, h)
-    u2g = solve_forward(system2, g)
+    u1h, u2g = solve_forward(system1, h), solve_forward(system2, g)
     lhs = boundary_l2(system1, h, trace_boundary(mesh, u2g)) - boundary_l2(
         system1, g, trace_boundary(mesh, u1h)
     )
-    g1q = _at_gauss_points(mesh, system1.gamma)
-    g2q = _at_gauss_points(mesh, system2.gamma)
+    g1q, g2q = _at_gauss_points(mesh, system1.gamma), _at_gauss_points(mesh, system2.gamma)
     u1q = _at_gauss_points(mesh, trace_interface(mesh, u1h))
     u2q = _at_gauss_points(mesh, trace_interface(mesh, u2g))
     rhs = _gauss_integral(mesh, (g1q - g2q) * u1q * u2q)

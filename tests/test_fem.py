@@ -335,7 +335,8 @@ def test_many_solves_factor_once(sigma, monkeypatch):
     # the ND form factors A bordered by its 9 basis loads, once
     ri.nd_form_matrix(system, 4)
     assert [A.shape for A in _matrices(checks)] == [(n, n), (n + 9, n + 9)]
-    assert np.array_equal(_matrices(checks)[1][:n, :n], system.matrix)
+    # its leading block is the A whose factor the system keeps
+    assert np.array_equal(np.linalg.cholesky(_matrices(checks)[1][:n, :n]), system.factor)
     # the ND form of a new gamma on the same (mesh, sigma), taken without a
     # system as the ndmap driver takes it, costs its bordered factorization only
     ndmap.nd_form(mesh, sigma, np.full(n, 3.0), 4)
@@ -695,8 +696,8 @@ def test_stacks_match_single_coefficients(mesh_coarse, sigma, monkeypatch, membe
             own = rng.standard_normal((len(forms), mesh.n_boundary_nodes, 2))  # one load per member
             for i, member in enumerate(range(span.start, span.stop)):
                 single = ri.assemble_system(mesh, sigma, _member(gamma, member))
-                _assert_same(system.matrix[i], single.matrix)
-                _assert_same(whole[member], single.matrix)
+                _assert_same(system.factor[i], single.factor)
+                _assert_same(whole[member], single.factor @ single.factor.T)
                 for solve, load in (
                     (ri.solve_forward, G),
                     (ri.solve_adjoint, G),
@@ -797,3 +798,67 @@ def test_bad_base_matrix_gives_no_traces(sigma, monkeypatch):
             warnings.simplefilter("error")
             with pytest.raises(ri.NumericalError, match=match):
                 list(fem.arc_step_traces(mesh, sigma, base, part, [0, 1], [1.0, 2.0], g))
+
+
+def _solve_path_meshes():
+    """(2,2,32), (4,4,64) and a moved-centre (2,2,32), which condenses through
+    the sparse interior factor."""
+    coarse = ri.generate_disk_mesh(2, 2, 32)
+    nodes = coarse.nodes.copy()
+    nodes[0] += 0.1
+    moved = dataclasses.replace(coarse, nodes=nodes)
+    assert fem._theta_wedge(moved) is None
+    return [coarse, ri.generate_disk_mesh(4, 4, 64), moved]
+
+
+def _all_solves(system, rng):
+    """Every solve of system on loads (n,), (n, k) and (s, n, k): one per member of
+    a stack, s loads of a single gamma."""
+    mesh, s = system.mesh, (system.factor.shape[:-2] or (2,))[0]
+    out = []
+    for solve, n in ((ri.solve_forward, mesh.n_boundary_nodes),
+                     (ri.solve_adjoint, mesh.n_boundary_nodes),
+                     (ri.solve_interface_source, mesh.n_interface_nodes)):
+        for shape in ((n,), (n, 3), (s, n, 3)):
+            out.append(solve(system, rng.standard_normal(shape)))
+    return out
+
+
+def test_dpotrs_and_fallback_solves_agree(sigma, monkeypatch):
+    # the kept factor solves through LAPACK dpotrs where numpy's bundled
+    # OpenBLAS has it, else through np.linalg.solve on L and on L^T
+    for mesh in _solve_path_meshes():
+        theta = mesh.interface_theta
+        gammas = (1.0 + 0.5 * np.sin(theta), 1.0 + np.outer([0.2, 0.5, 3.0], 1.0 + np.cos(theta)))
+        systems = [ri.assemble_system(mesh, sigma, gamma) for gamma in gammas]
+        paths = []
+        for loader in (fem._dpotrs, lambda: None):
+            monkeypatch.setattr(fem, "_dpotrs", loader)
+            rng = np.random.default_rng(11)
+            paths.append([x for system in systems for x in _all_solves(system, rng)])
+        for x, y in zip(*paths):
+            assert x.shape == y.shape
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
+
+
+def test_a_single_gamma_solves_one_load_per_member(system_coarse):
+    # s loads (s, n, k) of one gamma give (s, n_R, k), as a stack of s would
+    mesh = system_coarse.mesh
+    n_ring = mesh.n_interface_nodes + mesh.n_boundary_nodes
+    loads = np.random.default_rng(2).standard_normal((3, mesh.n_boundary_nodes, 2))
+    x = ri.solve_forward(system_coarse, loads)
+    assert x.shape == (3, n_ring, 2)
+    for i in range(3):
+        _assert_same(x[i], ri.solve_forward(system_coarse, loads[i]))
+
+
+def test_example1_takes_the_same_steps_on_both_solve_paths(tmp_path, monkeypatch):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n_r_inner = 2\nn_r_outer = 2\nn_theta = 32\n")
+    runs = []
+    for name, loader in (("dpotrs", fem._dpotrs), ("fallback", lambda: None)):
+        monkeypatch.setattr(fem, "_dpotrs", loader)
+        assert cli.main(["example1", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        summary = (tmp_path / name / "summary.txt").read_text().splitlines()
+        runs.append([line.split(" J=")[0] for line in summary])  # tag, status, iterations
+    assert len(runs[0]) == 10 and runs[0] == runs[1]

@@ -1,5 +1,6 @@
 """The drivers on generated meshes run on numpy alone, also after a save and load;
-meshes without the rotational symmetry bring in scipy."""
+meshes without the rotational symmetry bring in scipy. A numpy wheel on the ILP64
+scipy-openblas gives the solves their LAPACK dpotrs."""
 
 import ast
 import os
@@ -7,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import robininv
+from robininv import fem
 
 SRC = str(Path(robininv.__file__).resolve().parents[1])
 
@@ -69,3 +74,14 @@ def test_loaded_mesh_still_solves(tmp_path):
     # the saved and loaded generated mesh keeps its symmetry; a moved one needs scipy
     assert _run(tmp_path, "MOVED = False\n" + LOADED) == set()
     assert "scipy.sparse.linalg" in _run(tmp_path, "MOVED = True\n" + LOADED)
+
+
+def test_bundled_openblas_gives_the_factor_solve():
+    # without dpotrs every solve falls back to np.linalg.solve and stays correct,
+    # so only this test notices a packaging change that drops it
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+    if "scipy-openblas" not in str(lapack.get("name")) or "USE64BITINT" not in str(
+        lapack.get("openblas configuration")
+    ):
+        pytest.skip("numpy is not built on the ILP64 scipy-openblas")
+    assert fem._dpotrs() is not None

@@ -251,6 +251,29 @@ def test_lipschitz_constant_holds_no_dense_arc_matrices(sigma):
     assert peak < 64 * 64 * 64 * 8
 
 
+def _condition_gram_out_of_place(mesh, U, on_arc, b_over_a):
+    """lipschitz._condition_gram as one expression per term, with its temporaries."""
+    weight = np.where(on_arc, 0.5, 1.0 - 2.0 * b_over_a)
+    w = (weight * (mesh.interface_edge_lengths / 6.0))[..., None]
+    ends = U.take(mesh.interface_next, axis=1)
+    DU = w * (2.0 * U + ends)
+    DU += (w * (U + 2.0 * ends)).take(mesh.interface_prev, axis=1)
+    return np.swapaxes(U, 1, 2) @ DU
+
+
+def test_condition_gram_in_place_gives_the_same_bits(mesh_coarse, mesh_mid):
+    rng = np.random.default_rng(17)
+    for mesh in (mesh_coarse, mesh_mid):
+        n = mesh.n_interface_nodes
+        U = rng.standard_normal((6, n, 9))
+        on_arc = rng.random((6, n)) < 0.3
+        kept = U.copy()
+        for b_over_a in (2.0, 625.75):
+            gram = lipschitz._condition_gram(mesh, U, on_arc, b_over_a)
+            assert np.array_equal(gram, _condition_gram_out_of_place(mesh, U, on_arc, b_over_a))
+        assert np.array_equal(U, kept)
+
+
 def test_verify_stability_factors_each_gamma_once_and_solves_nothing(
     full_report, mesh_mid, sigma, monkeypatch
 ):
@@ -312,13 +335,14 @@ def test_verify_stability_draws_the_sample_pair_sequence(full_report, mesh_mid, 
     "rung, n_arcs, b, count", [((2, 2, 32), 2, 1.2, 2), ((4, 4, 64), 4, 20.0, 308)]
 )
 def test_lipschitz_constant_factors_one_base_matrix(rung, n_arcs, b, count, sigma, monkeypatch):
-    # every gamma^(km) is A(a/2) plus a Robin term on one arc: the check and the
-    # inverse of A(a/2) are the only n x n factorizations, and no solve is n x n
+    # every gamma^(km) is A(a/2) plus a Robin term on one arc: the check of
+    # A(a/2) is the only n x n factorization, its factor gives the inverse, and
+    # no solve or inverse is n x n
     mesh = ri.generate_disk_mesh(*rung)
     n = mesh.n_interface_nodes
     fem.gamma_free_part(mesh, sigma)  # the (mesh, sigma) set-up is not counted
     factored = []
-    real_cholesky, real_inv, real_solve = fem.cholesky, fem.inv, np.linalg.solve
+    real_cholesky, real_inv, real_solve = fem.cholesky, np.linalg.inv, np.linalg.solve
 
     def cholesky(A):
         factored.append(("cholesky", A.shape))
@@ -333,11 +357,11 @@ def test_lipschitz_constant_factors_one_base_matrix(rung, n_arcs, b, count, sigm
         return real_solve(A, B)
 
     monkeypatch.setattr(fem, "cholesky", cholesky)
-    monkeypatch.setattr(fem, "inv", inv)
+    monkeypatch.setattr(np.linalg, "inv", inv)
     monkeypatch.setattr(np.linalg, "solve", small_solves_only)
     report = ri.lipschitz_constant(mesh, sigma, 1.0, b, ri.interface_partition(mesh, n_arcs))
     assert len(report.entries) == count
-    assert factored == [("cholesky", (n, n)), ("inv", (n, n))]
+    assert factored == [("cholesky", (n, n))]
 
 
 @pytest.mark.parametrize("poison", [np.nan, -1.0])

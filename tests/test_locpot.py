@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import robininv as ri
+from robininv import fem
 from robininv.locpot import (
     arc_edge_mask,
     arc_integral_sq,
@@ -76,6 +77,29 @@ def test_cgne_rejects_bad_args(system_coarse):
         ri.runge_approximate(
             system_coarse, np.zeros(system_coarse.mesh.n_interface_nodes), 0.0, 10
         )
+
+
+def test_cgne_factors_its_gamma_once(mesh_mid, sigma, monkeypatch):
+    # the check of assembly is the only factorization: every forward and
+    # interface-source solve of the run solves with its kept factor
+    n = mesh_mid.n_interface_nodes
+    fem.gamma_free_part(mesh_mid, sigma)  # the (mesh, sigma) set-up is not counted
+    factored, real_cholesky, real_solve = [], fem.cholesky, np.linalg.solve
+
+    def cholesky(A):
+        factored.append(A.shape)
+        return real_cholesky(A)
+
+    def small_solves_only(A, B):
+        assert A.shape[-1] < n, "no solve of size n"
+        return real_solve(A, B)
+
+    monkeypatch.setattr(fem, "cholesky", cholesky)
+    monkeypatch.setattr(np.linalg, "solve", small_solves_only)
+    system = ri.assemble_system(mesh_mid, sigma, np.ones(n))
+    result = ri.cgne_solve(system, np.cos(mesh_mid.interface_theta), lambda *_: False, 20)
+    assert result.iterations == 20 and result.stopped_by == "max_iter"
+    assert factored == [(n, n)]
 
 
 def test_cgne_residual_monotone(system_unit):
