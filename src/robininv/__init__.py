@@ -21,9 +21,7 @@ from .fem import (
 )
 from .lipschitz import (
     LipschitzReport,
-    build_gamma_km,
     compute_K,
-    compute_gkm,
     lipschitz_constant,
     verify_stability,
 )
@@ -33,7 +31,6 @@ from .locpot import (
     apply_Astar,
     cgne_solve,
     localized_potential,
-    runge_approximate,
 )
 from .mesh import Mesh, PartitionSpec, generate_disk_mesh, interface_partition, load_mesh, save_mesh
 from .ndmap import (

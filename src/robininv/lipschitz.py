@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fem import ArcwiseGamma, Conductivity, SparseSystem, arc_step_traces
-from .locpot import arc_edge_mask, edge_integrals_sq
+from .fem import ArcwiseGamma, Conductivity, arc_step_traces
+from .locpot import edge_integrals_sq
 from .mesh import Mesh, PartitionSpec
 from .ndmap import NdForm, nd_form, operator_norm_diff, orthonormal_boundary_basis
 
@@ -81,38 +81,13 @@ def compute_K(a: float, b: float) -> int:
     return K
 
 
-def gamma_km_arcwise(k: int, m: int, a: float, partition: PartitionSpec) -> ArcwiseGamma:
-    """Arcwise-exact representation of gamma^(km) (1-based k and m)."""
-    if not 1 <= m <= partition.n_arcs:
-        raise ParameterError(f"arc index m={m} out of range")
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    values = np.full(partition.n_arcs, a / 2.0)
-    values[m - 1] = (k + 5) * a / 4.0
-    return ArcwiseGamma(partition, values)
-
-
-def build_gamma_km(k: int, m: int, a: float, partition: PartitionSpec) -> np.ndarray:
-    """Nodal values of gamma^(km); arc-boundary nodes take the lower-index arc."""
-    return gamma_km_arcwise(k, m, a, partition).values[partition.node_arc]
-
-
-def gkm_condition(
-    system: SparseSystem, partition: PartitionSpec, m: int, b_over_a: float, u_iface
-) -> float:
-    """(1/2) int_{arc m} u^2 - (2 b/a - 1) int_{Gamma \\ arc m} u^2 (1-based m)."""
-    mask = arc_edge_mask(partition, [m - 1])
-    per_edge = edge_integrals_sq(system.mesh, u_iface)
-    on, off = float(per_edge[mask].sum()), float(per_edge[~mask].sum())
-    return 0.5 * on - (2.0 * b_over_a - 1.0) * off
-
-
 def _condition_gram(mesh: Mesh, U, on_arc, b_over_a) -> np.ndarray:
     """Q = U^T D U per member, (s, d, d), for traces U (s, n_Gamma, d): c^T Q c is
-    :func:`gkm_condition` of the trace U c on the arc marked by the edge row of
-    on_arc (s, n_edges). D is the P1 mass of the interface edges, each weighted
-    by 1/2 on the arc and by -(2 b/a - 1) elsewhere: edge e of length L adds
-    w L / 6 [[2, 1], [1, 2]] at its nodes e and e + 1."""
+    the condition (1/2) int_arc u^2 - (2 b/a - 1) int_rest u^2 of the trace
+    u = U c, on the arc marked by the edge row of on_arc (s, n_edges). D is the
+    P1 mass of the interface edges, each weighted by 1/2 on the arc and by
+    -(2 b/a - 1) elsewhere: edge e of length L adds w L / 6 [[2, 1], [1, 2]] at
+    its nodes e and e + 1."""
     weight = np.where(on_arc, 0.5, 1.0 - 2.0 * b_over_a)
     w = (weight * (mesh.interface_edge_lengths / 6.0))[..., None]
     # in place, so no more than three (s, n_Gamma, d) arrays are held beside U
@@ -128,8 +103,9 @@ def _condition_gram(mesh: Mesh, U, on_arc, b_over_a) -> np.ndarray:
 
 
 def _conditions(mesh: Mesh, U, C, on_arc, b_over_a) -> np.ndarray:
-    """:func:`gkm_condition` of every current c of C (s, d), whose traces are U c
-    for U (s, n_Gamma, d), on the arcs marked by the edge rows of on_arc (s, n_edges)."""
+    """The condition (1/2) int_arc u^2 - (2 b/a - 1) int_rest u^2 of every
+    current c of C (s, d), whose traces are u = U c for U (s, n_Gamma, d), on the
+    arcs marked by the edge rows of on_arc (s, n_edges)."""
     per_edge = edge_integrals_sq(mesh, (U @ C[:, :, None])[:, :, 0])
     on = np.where(on_arc, per_edge, 0.0).sum(axis=1)
     off = np.where(on_arc, 0.0, per_edge).sum(axis=1)
@@ -183,25 +159,6 @@ def _gkm_stack(mesh: Mesh, sigma: Conductivity, km, a: float, b: float,
     return entries
 
 
-def compute_gkm(
-    mesh: Mesh,
-    sigma: Conductivity,
-    k: int,
-    m: int,
-    a: float,
-    b: float,
-    partition: PartitionSpec,
-    n_modes: int = 4,
-) -> GkmEntry:
-    """The minimal-norm current g^(km) of one (k, m): the entry of
-    :func:`lipschitz_constant`, as a stack of one."""
-    if not 1 <= k <= compute_K(a, b):
-        raise ParameterError(f"k={k} out of range 1..{compute_K(a, b)}")
-    if not 1 <= m <= partition.n_arcs:
-        raise ParameterError(f"arc index m={m} out of range")
-    return _gkm_stack(mesh, sigma, [(k, m)], a, b, partition, n_modes)[0]
-
-
 def lipschitz_constant(
     mesh: Mesh,
     sigma: Conductivity,
@@ -227,12 +184,6 @@ def lipschitz_constant(
     if achieved:
         report.G = max(e.g_norm_sq for e in achieved)
     return report
-
-
-def sample_pair(rng: np.random.Generator, n_arcs: int, a: float, b: float):
-    v1 = rng.uniform(a, b, size=n_arcs)
-    v2 = rng.uniform(a, b, size=n_arcs)
-    return v1, v2
 
 
 def verify_stability(
@@ -263,7 +214,7 @@ def verify_stability(
         )
     rng = np.random.default_rng(seed)
     part = report.partition
-    # every pair at once, in the order of n_samples sample_pair calls
+    # every pair at once, in the order of successive pairs of rng.uniform(a, b, M)
     pairs = rng.uniform(report.a, report.b, size=(n_samples, 2, part.n_arcs))
     diff_inf = np.abs(pairs[:, 0] - pairs[:, 1]).max(axis=1)
     pairs, diff_inf = pairs[diff_inf != 0.0], diff_inf[diff_inf != 0.0]

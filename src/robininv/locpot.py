@@ -106,28 +106,12 @@ def cgne_solve(system: SparseSystem, target, stop, max_iter: int) -> CgneResult:
     return result
 
 
-def runge_approximate(system: SparseSystem, f, tol: float, max_iter: int) -> CgneResult:
-    """Drive the interface trace of a forward solution toward f in L2(Gamma)."""
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
-
-    def stop(_it, res, _u, _g):
-        return res <= tol
-
-    return cgne_solve(system, f, stop, max_iter)
-
-
 def edge_integrals_sq(mesh: Mesh, u_iface) -> np.ndarray:
     """int over every interface edge of u^2 ds, exact for piecewise-linear u;
     per row for a stack of traces (s, n_Gamma)."""
     a = np.asarray(u_iface, dtype=float)
     b = a.take(mesh.interface_next, axis=-1)
     return mesh.interface_edge_lengths * (a * a + a * b + b * b) / 3.0
-
-
-def arc_integral_sq(system: SparseSystem, u_iface, edge_mask: np.ndarray) -> float:
-    """int over the masked edges of u^2 ds, exact for piecewise-linear u."""
-    return float(edge_integrals_sq(system.mesh, u_iface)[edge_mask].sum())
 
 
 def arc_edge_mask(partition: PartitionSpec, arcs) -> np.ndarray:

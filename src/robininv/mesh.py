@@ -202,14 +202,6 @@ def interface_partition(mesh: Mesh, n_arcs: int) -> PartitionSpec:
     return PartitionSpec(n_arcs=n_arcs, arc_of_edge=arc_of_edge)
 
 
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    p = mesh.nodes[mesh.triangles]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
-
-
 def edge_lengths(mesh: Mesh, edges: np.ndarray) -> np.ndarray:
     d = mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]]
     return np.linalg.norm(d, axis=1)

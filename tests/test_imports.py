@@ -3,6 +3,7 @@ meshes without the rotational symmetry bring in scipy. A numpy wheel on the ILP6
 scipy-openblas gives the solves their LAPACK dpotrs."""
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import robininv
 from robininv import fem
 
 SRC = str(Path(robininv.__file__).resolve().parents[1])
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 CONFIG = """
 n_r_inner = 2
@@ -85,3 +87,27 @@ def test_bundled_openblas_gives_the_factor_solve():
     ):
         pytest.skip("numpy is not built on the ILP64 scipy-openblas")
     assert fem._dpotrs() is not None
+
+
+def test_names_the_benchmark_uses_resolve():
+    # bench/run.py --trace 1 wraps every layer of LAYERS and bench/ladder.py calls
+    # ri.<name>: a pruned library name breaks them while the rest of Tier-1 passes
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # the standard library only
+    missing = [
+        f"robininv.{module}.{name}"
+        for module, name in tracing.LAYERS
+        if not hasattr(importlib.import_module(f"robininv.{module}"), name)
+    ]
+    ladder = ast.parse((BENCH / "ladder.py").read_text())
+    used = {
+        node.attr
+        for node in ast.walk(ladder)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ri"
+    }
+    assert used, "bench/ladder.py no longer calls robininv as ri"
+    missing += [f"robininv.{name}" for name in sorted(used) if not hasattr(robininv, name)]
+    assert missing == []

@@ -5,14 +5,35 @@ import pytest
 
 import robininv as ri
 from robininv import cli, fem, lipschitz
-from robininv.lipschitz import (
-    build_gamma_km,
-    compute_gkm,
-    gamma_km_arcwise,
-    gkm_condition,
-    sample_pair,
-)
-from robininv.locpot import arc_edge_mask, arc_lengths
+from robininv.locpot import arc_edge_mask, arc_lengths, edge_integrals_sq
+
+
+def gamma_km_arcwise(k, m, a, partition):
+    """gamma^(km) as an arcwise coefficient (1-based k and m): the independent
+    reference for the systems the library never assembles."""
+    if not 1 <= m <= partition.n_arcs:
+        raise ri.ParameterError(f"arc index m={m} out of range")
+    if k < 1:
+        raise ri.ParameterError("k must be >= 1")
+    values = np.full(partition.n_arcs, a / 2.0)
+    values[m - 1] = (k + 5) * a / 4.0
+    return ri.ArcwiseGamma(partition, values)
+
+
+def gkm_condition(system, partition, m, b_over_a, u_iface):
+    """(1/2) int_{arc m} u^2 - (2 b/a - 1) int_{Gamma \\ arc m} u^2 (1-based m),
+    summed edge by edge, apart from the library's Gram matrix."""
+    mask = arc_edge_mask(partition, [m - 1])
+    per_edge = edge_integrals_sq(system.mesh, u_iface)
+    on, off = float(per_edge[mask].sum()), float(per_edge[~mask].sum())
+    return 0.5 * on - (2.0 * b_over_a - 1.0) * off
+
+
+def sample_pair(rng, n_arcs, a, b):
+    """One pair of verify_stability's draws, taken one at a time."""
+    v1 = rng.uniform(a, b, size=n_arcs)
+    v2 = rng.uniform(a, b, size=n_arcs)
+    return v1, v2
 
 
 @pytest.fixture(scope="module")
@@ -45,11 +66,7 @@ def test_compute_K_invalid():
 
 def test_build_gamma_km_values(mesh_coarse):
     part = ri.interface_partition(mesh_coarse, 4)
-    gamma = build_gamma_km(1, 1, 1.0, part)
-    # (k+5)a/4 = 1.5 on the selected arc, a/2 = 0.5 elsewhere
-    assert set(np.round(gamma, 12)) == {1.5, 0.5}
-    assert gamma.min() == 0.5
-    # the elevated value sits outside [a, b] for k = 1 only through a/2 < a
+    # (k+5)a/4 = 2 on the selected arc, a/2 = 0.5 elsewhere
     arc = gamma_km_arcwise(3, 2, 1.0, part)
     assert arc.values[1] == 2.0
     assert np.all(np.delete(arc.values, 1) == 0.5)
@@ -80,21 +97,8 @@ def test_gkm_condition_values(mesh_mid, sigma):
     assert mask.sum() == 16
 
 
-def test_compute_gkm_invalid(mesh_coarse, sigma):
-    part = ri.interface_partition(mesh_coarse, 4)
-    with pytest.raises(ri.ParameterError):
-        compute_gkm(mesh_coarse, sigma, 0, 1, 1.0, 2.0, part)
-    with pytest.raises(ri.ParameterError):
-        compute_gkm(mesh_coarse, sigma, 6, 1, 1.0, 2.0, part)
-    with pytest.raises(ri.ParameterError):
-        compute_gkm(mesh_coarse, sigma, 1, 1, 2.0, 1.0, part)
-
-
 def test_compute_gkm_achieves_and_reverifies(full_report, mesh_mid, sigma):
     report, part = full_report
-    res = compute_gkm(mesh_mid, sigma, 1, 1, 1.0, 2.0, part)
-    assert res.achieved and (res.k, res.m) == (1, 1)
-    assert res.functional_value >= 1.0
     # independent re-evaluation of the localization condition of every entry
     for e in report.entries:
         system = ri.assemble_system(mesh_mid, sigma, gamma_km_arcwise(e.k, e.m, 1.0, part))
@@ -186,10 +190,10 @@ def test_wider_bounds_do_not_shrink_constant(full_report, mesh_mid, sigma):
     assert r2.G >= r1.G - 1e-9 * r1.G
 
 
-def test_sample_pair_bounds():
-    rng = np.random.default_rng(5)
-    v1, v2 = sample_pair(rng, 4, 1.0, 2.0)
-    for v in (v1, v2):
+def test_sample_pair_bounds(full_report, mesh_mid, sigma):
+    report, _ = full_report
+    samples = ri.verify_stability(report, mesh_mid, sigma, 3, seed=5, n_modes=4)
+    for v in [x for s in samples for x in (s.gamma1, s.gamma2)]:
         assert v.shape == (4,)
         assert np.all((v >= 1.0) & (v <= 2.0))
 
@@ -228,7 +232,7 @@ def test_lockstep_runs_match_single_runs(mesh_coarse, sigma, monkeypatch):
     report = ri.lipschitz_constant(mesh_coarse, sigma, 1.0, 2.0, part)
     assert len(report.entries) == 20 and sizes == [6, 6, 6, 2]
     for e in report.entries:
-        single = compute_gkm(mesh_coarse, sigma, e.k, e.m, 1.0, 2.0, part)
+        (single,) = lipschitz._gkm_stack(mesh_coarse, sigma, [(e.k, e.m)], 1.0, 2.0, part, 4)
         assert (single.k, single.m, single.achieved) == (e.k, e.m, e.achieved)
         assert np.array_equal(single.g, e.g)
         assert single.g_norm_sq == e.g_norm_sq

@@ -5,7 +5,16 @@ import pytest
 
 import robininv as ri
 from robininv import cli, fem
-from robininv.mesh import edge_lengths, triangle_areas
+from robininv.mesh import edge_lengths
+
+
+def triangle_areas(mesh):
+    """Signed areas of the triangles: positive for counter-clockwise vertices."""
+    p = mesh.nodes[mesh.triangles]
+    return 0.5 * (
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+    )
 
 
 def test_counts_minimal_mesh():
